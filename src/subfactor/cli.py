@@ -548,10 +548,10 @@ def suite_equivariance(samples, seed):
         # phi carries C's canonical representative onto a conjugate
         # d Cp0 d^-1 of Cp's; read d off the canonical start of the folded
         # image, as in restriction()
-        from .stallings import _canonical_start, _tree_data
+        from .stallings import _tree_data, canonical_code
 
         gimg = subgroup_graph([phi(w) for w in cgens])
-        start = _canonical_start(gimg.without_basepoint())
+        _, start = canonical_code(gimg.without_basepoint())
         path, _ = _tree_data(gimg)
         d = path[start]
 

@@ -9,7 +9,6 @@ bounded and every negative answer at a search budget is flagged as such.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -30,7 +29,7 @@ from .words import (
     Word,
     abelianize,
     cyclic_reduce,
-    free_reduce,
+    cyclic_words,
     is_cyclically_reduced,
 )
 
@@ -117,41 +116,18 @@ def enumerate_cvertices(rank, max_len, cap=None):
     by canonical code, in deterministic order."""
     seen = set()
     out = []
-    for length in range(1, max_len + 1):
-        for letters in itertools.product(
-            [x for s in range(1, rank + 1) for x in (s, -s)], repeat=length
-        ):
-            if free_reduce(letters) != letters:
-                continue
-            if length >= 2 and letters[0] == -letters[-1]:
-                continue
-            if _cyclic_normal(letters) != letters:
-                continue
-            w = Word(rank, letters)
-            if _gcd_vec(abelianize(w)) != 1:
-                continue
-            F = factor_class([w])
-            if F.code in seen:
-                continue
-            seen.add(F.code)
-            if is_free_factor(F).is_factor:
-                out.append((F, w))
-                if cap is not None and len(out) >= cap:
-                    return out
+    for w in cyclic_words(rank, max_len):
+        if _gcd_vec(abelianize(w)) != 1:
+            continue
+        F = factor_class([w])
+        if F.code in seen:
+            continue
+        seen.add(F.code)
+        if is_free_factor(F).is_factor:
+            out.append((F, w))
+            if cap is not None and len(out) >= cap:
+                return out
     return out
-
-
-def _cyclic_normal(letters):
-    """Least rotation among the word and its inverse (class representative)."""
-    n = len(letters)
-    inv = tuple(-x for x in reversed(letters))
-    best = letters
-    for base in (letters, inv):
-        for i in range(n):
-            rot = base[i:] + base[:i]
-            if rot < best:
-                best = rot
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +193,23 @@ def x_set(A, s=8, cap=24, conj_len=4):
                 return sum(1 for x in img.letters if abs(x) == n) == 1
 
     members = []
-    for length in range(1, s + 1):
-        for letters in itertools.product(
-            [x for t in range(1, n + 1) for x in (t, -t)], repeat=length
-        ):
-            if free_reduce(letters) != letters:
+    for w in cyclic_words(n, s):
+        if _gcd_vec(abelianize(w)) != 1:
+            continue
+        if fast is not None and not fast(w):
+            continue
+        F = factor_class([w])
+        if any(F == v for v, _ in members):
+            continue
+        if fast is None:
+            if contained_up_to_conjugacy(F, A) or colors_meet(A, F):
                 continue
-            if length >= 2 and letters[0] == -letters[-1]:
-                continue
-            if _cyclic_normal(letters) != letters:
-                continue
-            w = Word(n, letters)
-            if _gcd_vec(abelianize(w)) != 1:
-                continue
-            if fast is not None and not fast(w):
-                continue
-            F = factor_class([w])
-            if any(F == v for v, _ in members):
-                continue
-            if fast is None:
-                if contained_up_to_conjugacy(F, A) or colors_meet(A, F):
-                    continue
-            got = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
-            if got is None:
-                continue
-            members.append((F, got[0]))
-            if len(members) >= cap:
-                return XSet(A, s, members)
+        got = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
+        if got is None:
+            continue
+        members.append((F, got[0]))
+        if len(members) >= cap:
+            return XSet(A, s, members)
     return XSet(A, s, members)
 
 

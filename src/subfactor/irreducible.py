@@ -9,7 +9,6 @@ invariant factor) are exact, positive support is exhausted bounded search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,15 +21,15 @@ from .projection import (
 )
 from .stallings import (
     Expression,
-    _canonical_start,
     _tree_data,
     apply_to_factor,
+    canonical_code,
     factor_class,
     invert_automorphism,
     is_free_factor,
     subgroup_graph,
 )
-from .words import Automorphism, Word, abelianize, cyclic_reduce, free_reduce
+from .words import Automorphism, Word, abelianize, cyclic_reduce, cyclic_words
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def fill_check(A, B, s=8, conj_len=3, max_witnesses=50, phi_a=None,
     witnesses = []
     scanned = 0
     inconclusive = 0
-    for w in _iter_cyclic_words(n, s):
+    for w in cyclic_words(n, s):
         scanned += 1
         ok_a = _disjoint_from(A, w, test_a, conj_len)
         if ok_a is None:
@@ -137,33 +136,6 @@ def _disjoint_from(A, w, fast_test, conj_len):
     return None
 
 
-def _iter_cyclic_words(rank, max_len):
-    """Cyclically reduced words up to rotation and inversion, ordered by
-    length; primitivity is not pre-filtered (callers decide)."""
-    alphabet = [x for s in range(1, rank + 1) for x in (s, -s)]
-    for length in range(1, max_len + 1):
-        for letters in itertools.product(alphabet, repeat=length):
-            if free_reduce(letters) != letters:
-                continue
-            if length >= 2 and letters[0] == -letters[-1]:
-                continue
-            if _cyc_normal(letters) != letters:
-                continue
-            yield Word(rank, letters)
-
-
-def _cyc_normal(letters):
-    n = len(letters)
-    inv = tuple(-x for x in reversed(letters))
-    best = letters
-    for base in (letters, inv):
-        for i in range(n):
-            rot = base[i:] + base[:i]
-            if rot < best:
-                best = rot
-    return best
-
-
 # ---------------------------------------------------------------------------
 # restriction
 
@@ -179,7 +151,7 @@ def restriction(f, A):
         raise ValueError("f does not preserve A as a conjugacy class")
     g = subgroup_graph([f(w) for w in A.gens()])
     core = g.without_basepoint()
-    start = _canonical_start(core)
+    _, start = canonical_code(core)
     path, _ = _tree_data(g)
     d = path[start]
     expr = Expression(A.gens())
@@ -289,6 +261,20 @@ class PingPongSpec:
     psi_inv: Automorphism = None
     fill: FillReport = None
 
+    def inverse(self, sym):
+        """f^-1 or g^-1 (sym "f" or "g"), inverted exactly on first use."""
+        cache = self.__dict__.setdefault("_inverses", {})
+        if sym not in cache:
+            cache[sym] = invert_automorphism(getattr(self, sym))
+        return cache[sym]
+
+    def growth_table(self):
+        """The projection gaps of _growth_table, computed on first use."""
+        rows = self.__dict__.get("_growth")
+        if rows is None:
+            rows = self._growth = _growth_table(self)
+        return rows
+
     def validate(self):
         if apply_to_factor(self.f, self.A) != self.A:
             raise ValueError("f does not preserve A")
@@ -356,11 +342,10 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
                 break
         if invariant:
             break
-    growth = _growth_table(spec)
     return IrreducibilityEvidence(
         syllables=syl,
         invariant_factor=invariant,
-        growth_table=growth,
+        growth_table=list(spec.growth_table()),
         capped=capped,
         candidates=len(candidates),
     )
@@ -368,14 +353,8 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
 
 def _syllable_steps(spec, syl):
     """One exact automorphism per syllable (inverses computed exactly)."""
-    f_inv = invert_automorphism(spec.f)
-    g_inv = invert_automorphism(spec.g)
-    steps = []
-    for sym, e in syl:
-        base = (spec.f if e > 0 else f_inv) if sym == "f" else (
-            spec.g if e > 0 else g_inv)
-        steps.append(base ** abs(e))
-    return steps
+    return [(getattr(spec, sym) if e > 0 else spec.inverse(sym)) ** abs(e)
+            for sym, e in syl]
 
 
 def _candidate_factors(n, core_bound, cap):
@@ -409,7 +388,7 @@ def _growth_table(spec, samples=2, seed=0):
         # then shift by f^-k (k = N//2) so both arguments stay balanced
         k = spec.N // 2
         fk = spec.f ** (spec.N - k)
-        fmk = invert_automorphism(spec.f) ** k
+        fmk = spec.inverse("f") ** k
         A1 = apply_to_factor(spec.psi_inv, spec.A)
         pairs = (
             ("d_B(A, g^N A)", spec.A, apply_to_factor(fmk, A1),
@@ -497,7 +476,7 @@ def chain_windows(spec):
     if spec.psi is not None:
         k = spec.N // 2
         fk = spec.f ** (spec.N - k)
-        fmk = invert_automorphism(spec.f) ** k
+        fmk = spec.inverse("f") ** k
         A1 = apply_to_factor(spec.psi_inv, spec.A)
         w1 = [apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)]
         w2 = [apply_to_factor(fmk, spec.B), spec.A,
@@ -514,7 +493,7 @@ def _class_frame(gens):
     """For a list of generating words, the word d carrying the canonical
     class representative onto their actual span: <gens> = d * class * d^-1."""
     g = subgroup_graph(gens)
-    start = _canonical_start(g.without_basepoint())
+    _, start = canonical_code(g.without_basepoint())
     path, _ = _tree_data(g)
     return path[start]
 
@@ -544,7 +523,7 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
         return None
     k = spec.N // 2
     fk = spec.f ** (spec.N - k)
-    fmk = invert_automorphism(spec.f) ** k
+    fmk = spec.inverse("f") ** k
     xa = _xset_grow(spec.A, s, cap, conj_len)
     return [
         [translate_xset(xa, fmk * spec.psi_inv), xa,

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from .words import (
     Automorphism,
     Word,
+    _image_table,
+    _inverse_letters,
+    _join,
+    _word,
     free_reduce,
     whitehead_automorphisms,
     whitehead_type2,
@@ -193,25 +197,28 @@ class GraphBuilder:
         del self._find
 
     def trim(self, keep_basepoint=True):
-        """Remove valence<2 vertices (never the basepoint when kept)."""
-        while True:
-            valence = {v: 0 for v in self.vertices}
-            for u, v, _, _ in self.edges.values():
-                valence[u] += 1
-                valence[v] += 1
-            dead = {
-                v
-                for v, val in valence.items()
-                if val < 2 and not (keep_basepoint and v == self.basepoint)
-            }
-            if not dead:
-                return
-            self.vertices -= dead
-            self.edges = {
-                e: rec
-                for e, rec in self.edges.items()
-                if rec[0] not in dead and rec[1] not in dead
-            }
+        """Remove valence<2 vertices (never the basepoint when kept), with a
+        worklist of vertices whose valence fell below 2."""
+        incident = {v: [] for v in self.vertices}
+        for e, (u, v, _, _) in self.edges.items():
+            incident[u].append(e)
+            incident[v].append(e)
+        valence = {v: len(es) for v, es in incident.items()}
+        kept = self.basepoint if keep_basepoint else None
+        work = [v for v, k in valence.items() if k < 2 and v != kept]
+        while work:
+            v = work.pop()
+            if v not in self.vertices:
+                continue
+            self.vertices.remove(v)
+            for e in incident[v]:
+                rec = self.edges.pop(e, None)
+                if rec is None:
+                    continue
+                other = rec[1] if rec[0] == v else rec[0]
+                valence[other] -= 1
+                if valence[other] < 2 and other != kept:
+                    work.append(other)
 
     def to_graph(self):
         return StallingsGraph(
@@ -456,8 +463,8 @@ class Expression:
         self.out = {}
         self.inn = {}
         for u, v, label, prov in b.edges.values():
-            self.out[(u, label)] = (v, prov)
-            self.inn[(v, label)] = (u, prov)
+            self.out[(u, label)] = (v, prov.letters)
+            self.inn[(v, label)] = (u, _inverse_letters(prov.letters))
         self.basepoint = b.basepoint
         self.graph = b.to_graph()
 
@@ -465,33 +472,22 @@ class Expression:
         """A word over the generators mapping to w, or None if w is not in
         the subgroup."""
         cur = self.basepoint
-        letters = []
+        pieces = []
         for x in w.letters:
-            if x > 0:
-                hit = self.out.get((cur, x))
-                if hit is None:
-                    return None
-                cur, prov = hit
-                letters.extend(prov.letters)
-            else:
-                hit = self.inn.get((cur, -x))
-                if hit is None:
-                    return None
-                cur, prov = hit
-                letters.extend((~prov).letters)
+            hit = self.out.get((cur, x)) if x > 0 else self.inn.get((cur, -x))
+            if hit is None:
+                return None
+            cur, piece = hit
+            pieces.append(piece)
         if cur != self.basepoint:
             return None
-        return Word(self.k, free_reduce(letters))
+        return _word(self.k, _join(pieces))
 
 
 def substitute(images, w):
     """Apply the homomorphism x_i -> images[i] to w."""
-    rank = images[0].rank
-    out = []
-    for x in w.letters:
-        img = images[abs(x) - 1]
-        out.extend(img.letters if x > 0 else (~img).letters)
-    return Word(rank, free_reduce(out))
+    table = _image_table(images)
+    return _word(images[0].rank, _join(map(table.__getitem__, w.letters)))
 
 
 def is_basis(words):
@@ -524,7 +520,8 @@ def invert_automorphism(phi):
             raise ValueError("images are not a basis; not an automorphism")
         imgs.append(q)
     inv = Automorphism(phi.rank, tuple(imgs))
-    assert (phi * inv).is_identity()
+    if not (phi * inv).is_identity():
+        raise ValueError("computed inverse does not compose to the identity")
     return inv
 
 
@@ -533,73 +530,50 @@ def invert_automorphism(phi):
 
 
 def canonical_code(core):
-    """Relabeling-invariant code of a folded basepoint-free core: canonical
-    BFS serialization minimized over all start vertices."""
+    """Relabeling-invariant code of a folded basepoint-free core, and the
+    start vertex realizing it (smallest id wins ties; a deterministic
+    basepoint for a class representative): canonical BFS serialization
+    minimized over all start vertices.  A start is abandoned as soon as one
+    of its rows exceeds the best code's row at the same place."""
     out = core.out_map()
     inn = core.in_map()
     vs = sorted(core.vertex_set())
     if not vs:
-        return f"{core.rank}|empty"
+        return f"{core.rank}|empty", None
+    labels = range(1, core.rank + 1)
+    adj = {v: [mp.get((v, label)) for label in labels for mp in (out, inn)]
+           for v in vs}
     best = None
+    best_start = None
     for start in vs:
         number = {start: 0}
         order = [start]
-        i = 0
         rows = []
-        while i < len(order):
-            v = order[i]
-            i += 1
+        tied = best is not None  # rows so far equal the best code's prefix
+        for v in order:
             row = []
-            for label in range(1, core.rank + 1):
-                for mp in (out, inn):
-                    t = mp.get((v, label))
-                    if t is None:
-                        row.append(-1)
-                    else:
-                        if t not in number:
-                            number[t] = len(order)
-                            order.append(t)
-                        row.append(number[t])
-            rows.append(tuple(row))
-        code = tuple(rows)
-        if best is None or code < best:
-            best = code
+            for t in adj[v]:
+                if t is None:
+                    row.append(-1)
+                    continue
+                k = number.get(t)
+                if k is None:
+                    k = number[t] = len(order)
+                    order.append(t)
+                row.append(k)
+            row = tuple(row)
+            if tied:
+                if len(rows) == len(best) or row > best[len(rows)]:
+                    break
+                tied = row == best[len(rows)]
+            rows.append(row)
+        else:
+            code = tuple(rows)
+            if best is None or code < best:
+                best = code
+                best_start = start
     body = ";".join(",".join(str(x) for x in row) for row in best)
-    return f"{core.rank}|{body}"
-
-
-def _canonical_start(core):
-    """The BFS start vertex realizing the canonical code (smallest id wins
-    ties); used as a deterministic basepoint for a class representative."""
-    out = core.out_map()
-    inn = core.in_map()
-    best = None
-    best_start = None
-    for start in sorted(core.vertex_set()):
-        number = {start: 0}
-        order = [start]
-        i = 0
-        rows = []
-        while i < len(order):
-            v = order[i]
-            i += 1
-            row = []
-            for label in range(1, core.rank + 1):
-                for mp in (out, inn):
-                    t = mp.get((v, label))
-                    if t is None:
-                        row.append(-1)
-                    else:
-                        if t not in number:
-                            number[t] = len(order)
-                            order.append(t)
-                        row.append(number[t])
-            rows.append(tuple(row))
-        code = tuple(rows)
-        if best is None or code < best:
-            best = code
-            best_start = start
-    return best_start
+    return f"{core.rank}|{body}", best_start
 
 
 @dataclass(frozen=True)
@@ -614,15 +588,18 @@ class FactorClass:
     core: StallingsGraph
     rank: int
 
-    @property
-    def code(self):
-        """Canonical code, computed on first use (it is quadratic in the
+    def _canonical(self):
+        """Canonical code and start, computed on first use (quadratic in the
         core size, so hot loops that only need edge counts skip it)."""
-        c = self.__dict__.get("_code")
+        c = self.__dict__.get("_canon")
         if c is None:
             c = canonical_code(self.core)
-            object.__setattr__(self, "_code", c)
+            object.__setattr__(self, "_canon", c)
         return c
+
+    @property
+    def code(self):
+        return self._canonical()[0]
 
     def __eq__(self, other):
         return (
@@ -637,7 +614,7 @@ class FactorClass:
     def based_representative(self):
         """The core re-based at its canonical start vertex; its loops realize
         one subgroup in the conjugacy class."""
-        start = _canonical_start(self.core)
+        start = self._canonical()[1]
         return StallingsGraph(self.core.rank, self.core.edges, basepoint=start)
 
     def gens(self):

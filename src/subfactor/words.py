@@ -4,13 +4,21 @@ A word is stored as a tuple of nonzero signed generator indices: ``2`` is the
 second generator, ``-2`` its inverse.  The text format maps generator ``i``
 (for rank up to 26) to the i-th lowercase letter and its inverse to the
 corresponding uppercase letter, so ``"abA"`` is a * b * a^-1.
+
+Validation rule: the public constructors (``Word(rank, letters)``,
+``reduce``, ``word_from_str``) check that every letter is in range and that
+the letters are freely reduced.  Products, inverses, powers, cyclic
+reduction and automorphism images are reduced by construction and built
+with ``_word``, which trusts its letters and checks nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import string
 from dataclasses import dataclass
+from operator import neg
 
 
 def _check_letters(rank, letters):
@@ -30,6 +38,46 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def _join(pieces):
+    """Concatenate freely reduced letter tuples, cancelling only where one
+    piece meets the next; the result is freely reduced."""
+    out = []
+    pop = out.pop
+    for p in pieces:
+        k = 0
+        n = len(p)
+        while k < n and out and out[-1] == -p[k]:
+            pop()
+            k += 1
+        out.extend(p[k:] if k else p)
+    return tuple(out)
+
+
+def _inverse_letters(letters):
+    return tuple(map(neg, reversed(letters)))
+
+
+def _image_table(images):
+    """Letter -> letters of its image, for x_i -> images[i-1] and inverses."""
+    table = {}
+    for i, w in enumerate(images, 1):
+        table[i] = w.letters
+        table[-i] = _inverse_letters(w.letters)
+    return table
+
+
+def _power(x, n, identity):
+    """x ** n for n >= 0 by repeated squaring."""
+    out = identity
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 @dataclass(frozen=True)
 class Word:
     rank: int
@@ -44,7 +92,7 @@ class Word:
 
     @staticmethod
     def identity(rank):
-        return Word(rank, ())
+        return _word(rank, ())
 
     def __len__(self):
         return len(self.letters)
@@ -55,18 +103,15 @@ class Word:
     def __mul__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return Word(self.rank, free_reduce(self.letters + other.letters))
+        return _word(self.rank, _join((self.letters, other.letters)))
 
     def __invert__(self):
-        return Word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return _word(self.rank, _inverse_letters(self.letters))
 
     def __pow__(self, n):
         if n < 0:
             return (~self) ** (-n)
-        w = Word.identity(self.rank)
-        for _ in range(n):
-            w = w * self
-        return w
+        return _power(self, n, Word.identity(self.rank))
 
     def conjugate(self, c):
         """c * self * c^-1."""
@@ -77,6 +122,14 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.rank}, {word_to_str(self)!r})"
+
+
+def _word(rank, letters):
+    """A Word from a letter tuple that is in range and freely reduced by
+    construction; nothing is checked."""
+    w = object.__new__(Word)
+    w.__dict__.update(rank=rank, letters=letters)
+    return w
 
 
 def reduce(rank, letters):
@@ -113,16 +166,59 @@ def word_to_str(w):
 
 def cyclic_reduce(w):
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1."""
-    letters = list(w.letters)
-    pre = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.rank, tuple(letters)), Word(w.rank, tuple(pre))
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return _word(w.rank, letters[i:j]), _word(w.rank, letters[:i])
 
 
 def is_cyclically_reduced(w):
     return not w.letters or w.letters[0] != -w.letters[-1]
+
+
+def cyclic_words(rank, max_len):
+    """One word per conjugacy class of cyclically reduced words of length 1
+    to max_len up to inversion: the least rotation of the word and of its
+    inverse.  Ordered by length, then letter by letter with generators in
+    order and each before its inverse.
+
+    The least letter of such a word, -m for its largest generator m, leads
+    it, so only words starting with -m and using generators up to m are
+    generated."""
+    for length in range(1, max_len + 1):
+        for top in range(1, rank + 1):
+            alphabet = [x for s in range(1, top + 1) for x in (s, -s)]
+            for letters in _reduced_extensions((-top,), alphabet, length):
+                if length >= 2 and letters[0] == -letters[-1]:
+                    continue
+                if _cyclic_normal(letters) == letters:
+                    yield _word(rank, letters)
+
+
+def _reduced_extensions(prefix, alphabet, length):
+    """Freely reduced tuples of the given length extending prefix, in
+    product order of the alphabet."""
+    if len(prefix) == length:
+        yield prefix
+        return
+    for x in alphabet:
+        if x != -prefix[-1]:
+            yield from _reduced_extensions(prefix + (x,), alphabet, length)
+
+
+def _cyclic_normal(letters):
+    """Least rotation among the word and its inverse (class representative)."""
+    n = len(letters)
+    inv = _inverse_letters(letters)
+    best = letters
+    for base in (letters, inv):
+        for i in range(n):
+            rot = base[i:] + base[:i]
+            if rot < best:
+                best = rot
+    return best
 
 
 def abelianize(w):
@@ -162,11 +258,11 @@ class Automorphism:
     def __call__(self, w):
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        out = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1]
-            out.extend(img.letters if x > 0 else (~img).letters)
-        return Word(self.rank, free_reduce(out))
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = _image_table(self.images)
+            object.__setattr__(self, "_table", table)
+        return _word(self.rank, _join(map(table.__getitem__, w.letters)))
 
     def __mul__(self, other):
         """Composition: (f * g)(w) == f(g(w))."""
@@ -177,20 +273,13 @@ class Automorphism:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers need an explicit inverse")
-        f = Automorphism.identity(self.rank)
-        for _ in range(n):
-            f = self * f
-        return f
+        return _power(self, n, Automorphism.identity(self.rank))
 
     def is_identity(self):
         return all(w.letters == (i + 1,) for i, w in enumerate(self.images))
 
     def __str__(self):
         return "[" + ",".join(word_to_str(w) for w in self.images) + "]"
-
-
-def apply(phi, w):
-    return phi(w)
 
 
 def whitehead_automorphisms(rank):
@@ -235,14 +324,10 @@ def whitehead_automorphisms(rank):
     return list(seen.values())
 
 
+@functools.cache
 def whitehead_type2(rank):
     """The non-identity type II Whitehead automorphisms only (used in
-    edge-count descent, where type I moves never change complexity)."""
-    out = []
-    for phi in whitehead_automorphisms(rank):
-        if phi.is_identity():
-            continue
-        if all(len(w) == 1 for w in phi.images):
-            continue
-        out.append(phi)
-    return out
+    edge-count descent, where type I moves never change complexity), built
+    once per rank."""
+    return tuple(phi for phi in whitehead_automorphisms(rank)
+                 if not all(len(w) == 1 for w in phi.images))

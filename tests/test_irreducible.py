@@ -1,5 +1,6 @@
 import pytest
 
+from subfactor import irreducible
 from subfactor.irreducible import (
     FillReport,
     NoWitnessFound,
@@ -113,6 +114,33 @@ def test_spec_from_pair_and_word_search():
                        candidate_cap=20)
     assert ev.syllables == [("f", 8), ("g", 8)]
     assert ev.candidates > 0
+
+
+def test_spec_computes_growth_table_and_inverses_once(monkeypatch):
+    f = Automorphism.from_strs(3, ["b", "ab", "c"])
+    g = Automorphism.from_strs(3, ["a", "c", "bc"])
+    spec = PingPongSpec(f=f, g=g, A=factor_from_strs(3, ["a", "b"]),
+                        B=factor_from_strs(3, ["b", "c"]), N=2)
+    want = irreducible._growth_table(spec)
+    calls = []
+
+    def counted(name):
+        real = getattr(irreducible, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(irreducible, name, wrapper)
+
+    counted("_growth_table")
+    counted("invert_automorphism")
+    evs = [pingpong_word(spec, syl, powers=1, core_bound=4, candidate_cap=4)
+           for syl in ([("f", 1), ("g", 1)], [("f", -1), ("g", -1)],
+                       [("g", -1), ("f", -1)])]
+    assert all(ev.growth_table == want for ev in evs)
+    assert sorted(calls) == ["_growth_table", "invert_automorphism",
+                             "invert_automorphism"]
 
 
 def test_pingpong_word_requires_alternation():

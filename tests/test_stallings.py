@@ -4,7 +4,9 @@ import pytest
 
 from subfactor.stallings import (
     Expression,
+    GraphBuilder,
     NotInSubgroupError,
+    StallingsGraph,
     apply_to_factor,
     basis,
     canonical_code,
@@ -18,13 +20,95 @@ from subfactor.stallings import (
     mod2_span,
     random_automorphism,
     rewrite,
+    substitute,
     subgroup_graph,
 )
-from subfactor.words import Automorphism, word_from_str, word_to_str
+from subfactor.words import (
+    Automorphism,
+    Word,
+    free_reduce,
+    reduce,
+    word_from_str,
+    word_to_str,
+)
 
 
 def w(text, rank=2):
     return word_from_str(rank, text)
+
+
+def random_word(rng, rank, max_len):
+    return reduce(rank, [rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(rng.randint(0, max_len))])
+
+
+# reference implementations: plain concatenation reduced at the end, the
+# fixed-point trim that rescans every vertex, and the canonical code and its
+# start vertex from a complete BFS at every start
+
+
+def ref_substitute(images, x):
+    out = []
+    for y in x.letters:
+        img = images[abs(y) - 1].letters
+        out.extend(img if y > 0 else tuple(-z for z in reversed(img)))
+    return free_reduce(out)
+
+
+def ref_express(expr, x):
+    cur = expr.basepoint
+    out = []
+    for y in x.letters:
+        hit = expr.out.get((cur, y)) if y > 0 else expr.inn.get((cur, -y))
+        if hit is None:
+            return None
+        cur, piece = hit
+        out.extend(piece)
+    return free_reduce(out) if cur == expr.basepoint else None
+
+
+def ref_trim(vertices, edges, basepoint, keep_basepoint):
+    vertices = set(vertices)
+    while True:
+        valence = {v: 0 for v in vertices}
+        for u, v, _ in edges:
+            valence[u] += 1
+            valence[v] += 1
+        dead = {v for v, k in valence.items()
+                if k < 2 and not (keep_basepoint and v == basepoint)}
+        if not dead:
+            return vertices, edges
+        vertices -= dead
+        edges = [e for e in edges if e[0] not in dead and e[1] not in dead]
+
+
+def ref_canonical(core):
+    out, inn = core.out_map(), core.in_map()
+    vs = sorted(core.vertex_set())
+    if not vs:
+        return f"{core.rank}|empty", None
+    best = best_start = None
+    for start in vs:
+        number = {start: 0}
+        order = [start]
+        rows = []
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            row = []
+            for label in range(1, core.rank + 1):
+                for mp in (out, inn):
+                    t = mp.get((v, label))
+                    if t is not None and t not in number:
+                        number[t] = len(order)
+                        order.append(t)
+                    row.append(-1 if t is None else number[t])
+            rows.append(tuple(row))
+        if best is None or tuple(rows) < best:
+            best, best_start = tuple(rows), start
+    body = ";".join(",".join(str(x) for x in row) for row in best)
+    return f"{core.rank}|{body}", best_start
 
 
 def test_subgroup_graph_aa_b():
@@ -83,7 +167,7 @@ def test_fold_order_irrelevant():
     codes = set()
     for _ in range(6):
         rng.shuffle(gens)
-        codes.add(canonical_code(subgroup_graph(gens).without_basepoint()))
+        codes.add(canonical_code(subgroup_graph(gens).without_basepoint())[0])
     assert len(codes) == 1
 
 
@@ -111,6 +195,72 @@ def test_expression():
     assert word_to_str(got) == "baa"
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_substitute_and_express_match_reference(rank):
+    rng = random.Random(100 + rank)
+    for _ in range(20):
+        images = [random_word(rng, rank, 6) for _ in range(rank)]
+        x = random_word(rng, rank, 12)
+        assert substitute(images, x).letters == ref_substitute(images, x)
+        # equal images cancel completely
+        images[1] = images[0]
+        assert not substitute(images, Word(rank, (1, -2)))
+        gens = [x for x in (random_word(rng, rank, 5) for _ in range(3)) if x]
+        if not gens:
+            continue
+        expr = Expression(gens)
+        for _ in range(5):
+            idx = [rng.choice((1, -1)) * rng.randint(1, len(gens))
+                   for _ in range(rng.randint(0, 6))]
+            y = substitute(gens, reduce(len(gens), idx))
+            got = expr.express(y)
+            assert got.letters == ref_express(expr, y)
+            assert substitute(gens, got) == y
+            assert expr.express(y * ~y) == Word.identity(len(gens))
+
+
+@pytest.mark.parametrize("keep_basepoint", [True, False])
+def test_trim_matches_fixed_point_rescan(keep_basepoint):
+    rng = random.Random(7 + keep_basepoint)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 12))]
+        basepoint = rng.choice([None, 0, rng.randrange(n)])
+        b = GraphBuilder(3)
+        b.vertices = set(range(n))  # vertices without edges stay isolated
+        for u, v, label in edges:
+            b.add_edge(u, v, label)
+        b.basepoint = basepoint
+        b.trim(keep_basepoint=keep_basepoint)
+        vs, es = ref_trim(range(n), edges, basepoint, keep_basepoint)
+        assert b.vertices == vs
+        assert sorted(tuple(rec[:3]) for rec in b.edges.values()) == sorted(es)
+
+
+def test_canonical_code_matches_reference():
+    rng = random.Random(21)
+    cores = []
+    for rank in (2, 3, 4, 5):
+        for _ in range(15):
+            gens = [x for x in (random_word(rng, rank, 7) for _ in range(3))
+                    if x]
+            if gens:
+                cores.append(factor_class(gens).core)
+                # a proper power has a symmetric core: equal codes tie
+                cores.append(factor_class([gens[0] ** 3]).core)
+    # disjoint unions: BFS from one start does not reach every vertex
+    for a, b in zip(cores[::2], cores[1::2]):
+        if a.rank == b.rank:
+            shift = max(a.vertex_set()) + 1
+            edges = a.edges + tuple((u + shift, v + shift, label)
+                                    for u, v, label in b.edges)
+            cores.append(StallingsGraph(a.rank, tuple(sorted(edges))))
+    cores.append(StallingsGraph(2, ()))
+    for core in cores:
+        assert canonical_code(core) == ref_canonical(core)
+
+
 def test_is_basis():
     assert is_basis([w("ab"), w("b")])
     assert not is_basis([w("ab"), w("ba")])
@@ -129,6 +279,15 @@ def test_invert_automorphism():
         inv = invert_automorphism(f)
         assert (f * inv).is_identity()
         assert inv.images == known_inv.images
+
+
+def test_invert_automorphism_checks_its_result(monkeypatch):
+    # the check must hold without asserts (python -O): feed it a wrong image
+    phi = Automorphism.from_strs(2, ["ab", "b"])
+    monkeypatch.setattr(Expression, "express",
+                        lambda self, x: Word(2, x.letters[::-1] * 2))
+    with pytest.raises(ValueError, match="identity"):
+        invert_automorphism(phi)
 
 
 def test_apply_to_factor():

@@ -1,21 +1,74 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from subfactor.stallings import random_automorphism
 from subfactor.words import (
     Automorphism,
     Word,
     abelianize,
     cyclic_reduce,
+    cyclic_words,
     free_reduce,
     is_cyclically_reduced,
     reduce,
     whitehead_automorphisms,
+    whitehead_type2,
     word_from_str,
     word_to_str,
 )
 
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12)
+
+
+@st.composite
+def ranked_words(draw, count):
+    """`count` reduced words of one drawn rank between 2 and 5."""
+    rank = draw(st.integers(2, 5))
+    letter = st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i)))
+    return [reduce(rank, draw(st.lists(letter, max_size=16)))
+            for _ in range(count)]
+
+
+# reference implementations: reduce the whole concatenation after every
+# product, and build powers by repeated multiplication
+
+
+def ref_inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def ref_apply(phi, w):
+    out = []
+    for x in w.letters:
+        img = phi.images[abs(x) - 1].letters
+        out.extend(img if x > 0 else ref_inverse(img))
+    return free_reduce(out)
+
+
+def ref_power(x, n, identity):
+    out = identity
+    for _ in range(n):
+        out = x * out
+    return out
+
+
+def ref_cyclic_words(rank, max_len):
+    alphabet = [x for s in range(1, rank + 1) for x in (s, -s)]
+    for length in range(1, max_len + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            if free_reduce(letters) != letters:
+                continue
+            if length >= 2 and letters[0] == -letters[-1]:
+                continue
+            inv = ref_inverse(letters)
+            rotations = [base[i:] + base[:i] for base in (letters, inv)
+                         for i in range(length)]
+            if min(rotations) == letters:
+                yield letters
 
 
 def w(text, rank=2):
@@ -80,6 +133,62 @@ def test_word_str_roundtrip():
 def test_word_rejects_unreduced():
     with pytest.raises(ValueError):
         Word(2, (1, -1))
+    for bad in [(1, 2, -2), (3,), (0,), (1, -3)]:
+        with pytest.raises(ValueError):
+            Word(2, bad)
+    for bad in [(1, 3), (0,), (-3, 3)]:
+        with pytest.raises(ValueError):
+            reduce(2, bad)
+    for bad in ["aC", "ab0"]:
+        with pytest.raises(ValueError):
+            word_from_str(2, bad)
+
+
+@given(ranked_words(3))
+def test_product_cancels_only_at_the_junction(ws):
+    x, y, z = ws
+    assert (x * y).letters == free_reduce(x.letters + y.letters)
+    assert (x * y * ~y).letters == x.letters
+    assert (~x).letters == ref_inverse(x.letters)
+    assert not (x * ~x) and not (~x * x)
+    assert (x * y * z * ~z * ~y).letters == x.letters
+    core, conj = cyclic_reduce(x)
+    assert (conj * core * ~conj) == x
+
+
+@given(ranked_words(1), st.integers(0, 9))
+def test_word_power_matches_repeated_product(ws, n):
+    (x,) = ws
+    ref = ref_power(x, n, Word.identity(x.rank))
+    assert x ** n == ref
+    assert x ** -n == ~ref
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_automorphism_kernel_matches_reference(rank):
+    rng = random.Random(rank)
+    for _ in range(6):
+        phi, inv = random_automorphism(rank, rng, length=rng.randint(1, 6))
+        for _ in range(8):
+            w = reduce(rank, [rng.choice((1, -1)) * rng.randint(1, rank)
+                              for _ in range(rng.randint(0, 20))])
+            assert phi(w).letters == ref_apply(phi, w)
+            assert phi(inv(w)) == w and inv(phi(w)) == w
+            assert phi(w * ~w) == Word.identity(rank)
+        for n in range(7):
+            assert phi ** n == ref_power(phi, n, Automorphism.identity(rank))
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 5), (2, 7), (3, 5), (4, 4)])
+def test_cyclic_words_match_filtered_product(rank, max_len):
+    got = [w.letters for w in cyclic_words(rank, max_len)]
+    assert got == list(ref_cyclic_words(rank, max_len))
+
+
+def test_whitehead_type2_built_once():
+    moves = whitehead_type2(3)
+    assert isinstance(moves, tuple) and moves is whitehead_type2(3)
+    assert not any(all(len(w) == 1 for w in phi.images) for phi in moves)
 
 
 def test_automorphism_apply_and_compose():
