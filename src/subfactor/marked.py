@@ -215,12 +215,12 @@ def rose(n, lengths=None):
     return MarkedGraph(n, edges, marking, lengths)
 
 
-def adapted_rose(A, plateau_depth=2):
+def adapted_rose(A):
     """A marked rose in which A sits as the sub-rose on the first rank(A)
     petals."""
-    res = is_free_factor(A, plateau_depth=plateau_depth)
+    res = is_free_factor(A)
     if not res.is_factor:
-        raise MarkingError(f"not certified a free factor: {res.reason}")
+        raise MarkingError(f"not a free factor: {res.reason}")
     n = A.rank_ambient
     edges = tuple((i, 0, 0) for i in range(1, n + 1))
     marking = {i: res.witness_inverse.images[i - 1] for i in range(1, n + 1)}

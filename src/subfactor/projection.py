@@ -352,7 +352,7 @@ def splitting_witness(A, B, conj, comp_words):
     return witness
 
 
-def find_disjoint_conjugator(A, B, max_conj_len=4, plateau_depth=2):
+def find_disjoint_conjugator(A, B, max_conj_len=4):
     """Search for a conjugator c with <A, B^c> = A * B^c a free factor.
 
     Because free groups are Hopfian, rank(<A, B^c>) = rank A + rank B forces
@@ -373,7 +373,7 @@ def find_disjoint_conjugator(A, B, max_conj_len=4, plateau_depth=2):
                 continue
             comp = []
         else:
-            res = is_free_factor(H, plateau_depth=plateau_depth)
+            res = is_free_factor(H)
             if not res.is_factor:
                 continue
             inv = res.witness_inverse
@@ -382,9 +382,9 @@ def find_disjoint_conjugator(A, B, max_conj_len=4, plateau_depth=2):
     return None
 
 
-def disjoint_by_conjugation(A, B, max_conj_len=4, plateau_depth=2):
+def disjoint_by_conjugation(A, B, max_conj_len=4):
     """DisjointWitness built from find_disjoint_conjugator, or None."""
-    got = find_disjoint_conjugator(A, B, max_conj_len, plateau_depth)
+    got = find_disjoint_conjugator(A, B, max_conj_len)
     if got is None:
         return None
     c, comp = got

@@ -705,12 +705,14 @@ def contained_up_to_conjugacy(A, B):
 
 
 class FreeFactorResult:
-    def __init__(self, is_factor, certified, witness=None,
-                 witness_inverse=None, reason=""):
+    # every verdict is certified: a positive one by its witness, a negative
+    # one by an invariant obstruction or by peak reduction (is_free_factor)
+    certified = True
+
+    def __init__(self, is_factor, witness=None, reason=""):
         self.is_factor = is_factor
-        self.certified = certified
         self.witness = witness
-        self._inv = witness_inverse
+        self._inv = None
         self.reason = reason
 
     @property
@@ -806,128 +808,75 @@ def _obstruction(F):
     return None
 
 
-def is_free_factor(F, plateau_depth=2):
+def is_free_factor(F):
     """Decide whether F is a free factor of the ambient group.
 
-    Greedy Whitehead reduction on core edge count with bounded plateau
-    exploration.  On success the witness maps F to the class of the standard
-    sub-rose on the first rank(F) generators.
+    Strict Whitehead descent on core edge count.  By Gersten's peak
+    reduction (On Whitehead's algorithm, Bull. AMS 10, 1984; see also
+    Kapovich-Myasnikov, Stallings foldings and subgroups of free groups,
+    J. Algebra 2002), a core that no Whitehead move shortens has the least
+    edge count in its automorphism orbit, and the least core in the orbit
+    of a free factor is a sub-rose.  So descent alone decides, and every
+    verdict is certified.  On success the witness maps F to the class of
+    the standard sub-rose on the first rank(F) generators.
     """
     if isinstance(F, StallingsGraph):
         core = F.without_basepoint()
         F = FactorClass(F.rank, core, core.graph_rank())
     if not F.core.edges:
         raise TrivialSubgroupError("trivial subgroup")
-    key = (F.rank_ambient, F.code, plateau_depth)
+    key = (F.rank_ambient, F.code)
     if key in _reduction_cache:
         return _reduction_cache[key]
-    result = _reduce(F, plateau_depth)
+    result = _reduce(F)
     _reduction_cache[key] = result
     return result
 
 
 def _finish(F, chain):
-    """F is a sub-rose class; append the type-I relabeling and build the
-    witness pair."""
+    """F is a sub-rose class; append the type-I relabeling that moves its
+    labels to the front and compose the witness."""
     n = F.rank_ambient
     labels = F.sub_rose_labels()
-    perm = {}
-    for i, label in enumerate(labels):
-        perm[label] = i + 1
-    rest = [j for j in range(1, n + 1) if j not in labels]
-    for i, label in enumerate(rest):
-        perm[label] = len(labels) + i + 1
+    order = labels + [j for j in range(1, n + 1) if j not in labels]
     images = [None] * n
-    for label, target in perm.items():
+    for target, label in enumerate(order, 1):
         images[label - 1] = Word(n, (target,))
-    relabel = Automorphism(n, tuple(images))
-    witness = relabel
+    witness = Automorphism(n, tuple(images))
     for phi in reversed(chain):
         witness = witness * phi
     return witness
 
 
-def _reduce(F, plateau_depth):
+def _reduce(F):
     obstruction = _obstruction(F)
     if obstruction is not None:
-        return FreeFactorResult(False, True, reason=obstruction)
-    n = F.rank_ambient
-    moves = whitehead_type2(n)
+        return FreeFactorResult(False, reason=obstruction)
+    moves = whitehead_type2(F.rank_ambient)
     chain = []
     current = F
     # explicit generating words so the strict-descent loop never needs
     # canonical starts or codes of large intermediate graphs
     gens = list(F.gens())
-    while True:
-        if current.is_sub_rose():
-            witness = _finish(current, chain)
-            return FreeFactorResult(True, True, witness=witness,
-                                    reason="reduced to sub-rose")
-        best = None
+    while not current.is_sub_rose():
         for phi in moves:
             cand_gens = [phi(w) for w in gens]
             cand = factor_class(cand_gens)
             if cand.complexity() < current.complexity():
-                best = (cand, phi, cand_gens)
                 break  # first improvement; order is fixed, so deterministic
-        if best is not None:
-            current, phi, gens = best
-            chain.append(phi)
-            # conjugating junk can pile up on the words; re-canonicalize
-            # when they outgrow the core
-            if sum(len(w) for w in gens) > 2 * current.complexity() + 20:
-                gens = list(current.gens())
-            continue
-        # plateau: bounded search for a strictly descending sequence
-        found, exhausted = _plateau_search(current, moves, plateau_depth,
-                                           {current.code})
-        if found is None:
-            obstruction = _obstruction(current)
-            if obstruction is not None:
-                return FreeFactorResult(False, True, reason=obstruction)
-            if current.rank == 1:
-                # a primitive of cyclic length > 1 always has a strictly
-                # reducing move, so a strict local minimum is conclusive
-                return FreeFactorResult(
-                    False, True,
-                    reason="cyclic length locally minimal above 1")
-            if exhausted:
-                # the whole equal-complexity component was searched: the
-                # complexity is orbit-minimal, and the minimum of a free
-                # factor orbit is a sub-rose (peak reduction)
-                return FreeFactorResult(
-                    False, True,
-                    reason="complexity-minimal and not a sub-rose")
+        else:
+            # type I moves keep the edge count, so peak reduction makes
+            # this strict local minimum orbit-minimal
             return FreeFactorResult(
-                False, False,
-                reason=f"not reduced to sub-rose within plateau budget {plateau_depth}")
-        for phi in found:
-            chain.append(phi)
-            current = apply_to_factor(phi, current)
-        gens = list(current.gens())
-
-
-def _plateau_search(F, moves, depth, seen):
-    """Sequences of same-complexity moves ending in a strict decrease or a
-    sub-rose.  Returns (moves_or_None, exhausted): exhausted means the whole
-    equal-complexity component was visited before the depth budget ran out,
-    so a None outcome is conclusive."""
-    level = [(F, [])]
-    visited = set(seen)
-    for _ in range(depth):
-        nxt = []
-        for G, path in level:
-            for phi in moves:
-                cand = apply_to_factor(phi, G)
-                if cand.complexity() < G.complexity() or cand.is_sub_rose():
-                    return path + [phi], False
-                if cand.complexity() == G.complexity() and cand.code not in visited:
-                    visited.add(cand.code)
-                    nxt.append((cand, path + [phi]))
-        level = nxt
-        if not level:
-            return None, True
-    return None, not level
+                False, reason="complexity-minimal and not a sub-rose")
+        current, gens = cand, cand_gens
+        chain.append(phi)
+        # conjugating junk can pile up on the words; re-canonicalize when
+        # they outgrow the core
+        if sum(len(w) for w in gens) > 2 * current.complexity() + 20:
+            gens = list(current.gens())
+    return FreeFactorResult(True, witness=_finish(current, chain),
+                            reason="reduced to sub-rose")
 
 
 def random_automorphism(rank, rng, length=4):

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from subfactor.cli import main
-from subfactor.stallings import clear_reduction_cache
+from subfactor import cli
+from subfactor.cli import load_cache, main
+from subfactor.projection import Classification
+from subfactor.stallings import (
+    _reduction_cache,
+    clear_reduction_cache,
+    factor_from_strs,
+    is_free_factor,
+)
+from subfactor.words import word_to_str
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +77,10 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+    # free-factor verdicts need no search budget, so there is no such flag
+    assert main(["--plateau-depth", "2", "farey", "--u", "a",
+                 "--v", "b"]) == 2
+    capsys.readouterr()
 
 
 def test_reports_deterministic(capsys):
@@ -106,6 +118,68 @@ def test_cache_tolerates_truncation(tmp_path, capsys):
     code = main(["--cache", str(cache), "farey", "--u", "a", "--v", "b"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_cache_skips_malformed_records(tmp_path, capsys):
+    records = [
+        {"rank": 3},
+        [3],
+        {"rank": "3", "code": "x", "is_factor": False},
+        {"rank": 3, "code": 7, "is_factor": False},
+        {"rank": 3, "code": "x", "is_factor": "no"},
+        {"rank": 3, "code": "x", "is_factor": False, "reason": 1},
+        {"rank": 3, "code": "x", "is_factor": True},
+        {"rank": 3, "code": "x", "is_factor": True, "witness": ["a", "b"]},
+        {"rank": 3, "code": "x", "is_factor": True,
+         "witness": ["a", "b", "c?"]},
+        # written under the old search budget
+        {"rank": 3, "code": "x", "is_factor": False, "certified": False},
+    ]
+    cache = tmp_path / "red.ndjson"
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert load_cache(str(cache)) == set()
+    code, rep = run(capsys, "--cache", str(cache), "classify", "--rank",
+                    "3", "--a", "a,b", "--b", "c")
+    assert code == 0
+    assert rep["verdict"] == "disjoint"
+
+
+def test_cache_reads_records_with_depth(tmp_path):
+    F = factor_from_strs(3, ["ab", "c"])
+    res = is_free_factor(F)
+    old = {"rank": 3, "code": F.code, "depth": 2, "certified": True,
+           "is_factor": True, "reason": res.reason,
+           "witness": [word_to_str(x) for x in res.witness.images]}
+    cache = tmp_path / "red.ndjson"
+    cache.write_text(json.dumps(old, sort_keys=True) + "\n")
+    clear_reduction_cache()
+    assert load_cache(str(cache)) == {(3, F.code)}
+    got = _reduction_cache[(3, F.code)]
+    assert got.is_factor and got.certified
+    assert got.witness.images == res.witness.images
+    # records written now carry neither the depth nor the certified flag
+    cli.append_cache(str(cache), set())
+    new = json.loads(cache.read_text().splitlines()[-1])
+    assert "depth" not in new and "certified" not in new
+    assert new["code"] == F.code
+
+
+def test_trichotomy_gate_can_fail(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "classify_pair", lambda A, B: Classification(
+        "contained_in", True, "wrong on purpose"))
+    code, rep = run(capsys, "--samples", "5", "verify", "--suite",
+                    "trichotomy")
+    assert code == 1
+    assert rep["pass"] is False
+
+
+def test_bgit_gate_needs_every_path(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cn_distance_bounds",
+                        lambda u, v, pool, conj_len: (1, None, None))
+    code, rep = run(capsys, "--samples", "2", "verify", "--suite", "bgit")
+    assert code == 1
+    assert rep["pass"] is False
+    assert rep["metrics"]["paths"] == 0
 
 
 def test_verify_suite_smoke(capsys):

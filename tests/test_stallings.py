@@ -28,6 +28,8 @@ from subfactor.words import (
     Word,
     free_reduce,
     reduce,
+    whitehead_automorphisms,
+    whitehead_type2,
     word_from_str,
     word_to_str,
 )
@@ -334,6 +336,67 @@ def test_free_factor_negative_certified():
     # commutator is not primitive
     res = is_free_factor(factor_from_strs(2, ["abAB"]))
     assert not res.is_factor
+
+
+@pytest.mark.parametrize("rank,gens", [(3, ["a", "bcBCb"]),
+                                       (3, ["ab", "bcBCb"]),
+                                       (4, ["a", "cdCDc"])])
+def test_free_factor_negative_by_peak_reduction(rank, gens):
+    # no invariant obstruction applies: <x, [y,z]y> abelianizes onto a
+    # direct summand; only the orbit-minimal core rules it out
+    res = is_free_factor(factor_from_strs(rank, gens))
+    assert not res.is_factor and res.certified
+    assert res.reason == "complexity-minimal and not a sub-rose"
+
+
+def strict_descent(F):
+    """Reference descent: any type II move that lowers the edge count."""
+    while True:
+        for phi in whitehead_type2(F.rank_ambient):
+            G = apply_to_factor(phi, F)
+            if G.complexity() < F.complexity():
+                F = G
+                break
+        else:
+            return F
+
+
+def equal_complexity_component(F):
+    """Codes of the classes reachable from F by Whitehead moves, type I
+    included, that keep its edge count, and the least edge count among all
+    images of those classes."""
+    moves = whitehead_automorphisms(F.rank_ambient)
+    seen, frontier, lowest = {F.code}, [F], F.complexity()
+    while frontier:
+        G = frontier.pop()
+        for phi in moves:
+            H = apply_to_factor(phi, G)
+            lowest = min(lowest, H.complexity())
+            if H.complexity() == G.complexity() and H.code not in seen:
+                seen.add(H.code)
+                frontier.append(H)
+    return seen, lowest
+
+
+@pytest.mark.parametrize("rank,base", [(2, ["abABa"]),
+                                       (3, ["a", "bcBCb"])])
+def test_strict_local_minimum_is_orbit_minimal(rank, base):
+    # peak reduction, checked exhaustively: strict local minima of moved
+    # <x, [y,z]y> have no lower class anywhere in their equal-complexity
+    # component, which holds every such minimum
+    rng = random.Random(11)
+    minima = []
+    for _ in range(3):
+        phi, _ = random_automorphism(rank, rng, length=6)
+        minima.append(strict_descent(
+            apply_to_factor(phi, factor_from_strs(rank, base))))
+    assert len({F.code for F in minima}) > 1
+    seen, lowest = equal_complexity_component(minima[0])
+    assert lowest == minima[0].complexity()
+    assert {F.code for F in minima} <= seen
+    for F in minima:
+        res = is_free_factor(F)
+        assert not res.is_factor and res.certified
 
 
 def test_free_factor_respects_automorphisms():
