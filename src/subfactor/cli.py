@@ -2,8 +2,10 @@
 values, ping-pong evidence, and verification suites.
 
 All reports are JSON with sorted keys; identical configuration and seed
-give byte-identical output.  Exit codes: 0 decided/pass, 2 usage error,
-3 inconclusive at the configured budget.
+give byte-identical output.  Exit codes: 0 decided/pass, 1 a verification
+suite failed, 2 usage or domain error (bad options, or input the
+mathematics rejects, such as a non-primitive word for farey), 3
+inconclusive at the configured budget.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from .complex_cn import (
     chain_progress_verify,
     cn_distance_bounds,
+    corank1_tester,
     enumerate_cvertices,
     x_set,
 )
@@ -40,14 +43,16 @@ from .projection import (
     project_factor,
 )
 from .stallings import (
+    Expression,
     FreeFactorResult,
     _reduction_cache,
     apply_to_factor,
+    class_frame,
     factor_class,
     factor_from_strs,
     is_free_factor,
     random_automorphism,
-    subgroup_graph,
+    substitute,
 )
 from .words import Automorphism, Word, word_from_str, word_to_str
 
@@ -500,13 +505,10 @@ def suite_bgit(samples, seed, m_emp=10):
     """Certified paths avoiding X_A project to a set of diameter at most
     M_emp in A's factor complex."""
     A = factor_from_strs(3, ["a", "b"])
-    wit = is_free_factor(A).witness
-    pool = []
-    for F, w in enumerate_cvertices(3, 4, cap=40):
-        img, _ = _cyc(wit(w))
-        hits = sum(1 for x in img.letters if abs(x) == 3)
-        if hits != 1:  # meets A: not in X_A
-            pool.append(F)
+    disjoint = corank1_tester(A)
+    # classes meeting A, so not in X_A
+    pool = [F for F, w in enumerate_cvertices(3, 4, cap=40)
+            if not disjoint(w)]
     rng = random.Random(seed)
     done = 0
     worst = 0
@@ -534,19 +536,11 @@ def suite_bgit(samples, seed, m_emp=10):
         "paths": done, "max_diameter": worst}
 
 
-def _cyc(w):
-    from .words import cyclic_reduce
-
-    return cyclic_reduce(w)
-
-
 def suite_equivariance(samples, seed):
     """d_{phi C}(phi A, phi B) = d_C(A, B): projection members (factors of
     C, written in C's basis) are carried to phi C's basis and the distance
     recomputed there; exact since the basis change has determinant +-1.
     Verdict invariance is the separate half of the suite."""
-    from .stallings import Expression, substitute
-
     rng = random.Random(seed)
     checked = 0
     while checked < samples:
@@ -566,14 +560,8 @@ def suite_equivariance(samples, seed):
         expr = Expression(Cp.gens())
         cgens = C.gens()
         # phi carries C's canonical representative onto a conjugate
-        # d Cp0 d^-1 of Cp's; read d off the canonical start of the folded
-        # image, as in restriction()
-        from .stallings import _tree_data, canonical_code
-
-        gimg = subgroup_graph([phi(w) for w in cgens])
-        _, start = canonical_code(gimg.without_basepoint())
-        path, _ = _tree_data(gimg)
-        d = path[start]
+        # d Cp0 d^-1 of Cp's, as in restriction()
+        d = class_frame([phi(w) for w in cgens])
 
         def translate(member):
             out = []
@@ -748,7 +736,7 @@ def main(argv=None):
             return args.func(args, cfg)
         finally:
             append_cache(cfg.cache_path, known)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

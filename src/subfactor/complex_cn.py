@@ -134,6 +134,30 @@ def enumerate_cvertices(rank, max_len, cap=None):
 # X_A
 
 
+def corank1_tester(A, phi=None):
+    """For a factor of rank n-1, disjointness from a rank-1 class is exact:
+    move A to the sub-rose on the first n-1 letters by a Whitehead chain;
+    a class is disjoint from A iff its image crosses the last letter
+    exactly once (it is then a free complement, seen by Nielsen moves).
+    A caller who already knows an automorphism carrying A to that sub-rose
+    can pass it as phi to skip the Whitehead reduction.  None when A does
+    not have corank 1; ValueError when A is not a free factor."""
+    n = A.rank_ambient
+    if A.rank != n - 1:
+        return None
+    if phi is None:
+        res = is_free_factor(A)
+        if not res.is_factor:
+            raise ValueError("not a free factor")
+        phi = res.witness
+
+    def test(w):
+        img, _ = cyclic_reduce(phi(w))
+        return sum(1 for x in img.letters if abs(x) == n) == 1
+
+    return test
+
+
 @dataclass(eq=False)
 class XSet:
     factor: object  # FactorClass A
@@ -182,16 +206,10 @@ def x_set(A, s=8, cap=24, conj_len=4):
     n = A.rank_ambient
     if A.rank + 1 > n:
         return XSet(A, s, [])
-    fast = None
-    if A.rank == n - 1:
-        res = is_free_factor(A)
-        if res.is_factor:
-            phi = res.witness
-
-            def fast(w):
-                img, _ = cyclic_reduce(phi(w))
-                return sum(1 for x in img.letters if abs(x) == n) == 1
-
+    try:
+        fast = corank1_tester(A)
+    except ValueError:  # not a free factor: no exact test, search instead
+        fast = None
     members = []
     for w in cyclic_words(n, s):
         if _gcd_vec(abelianize(w)) != 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complex_cn import XSet, enumerate_cvertices, x_set
+from .complex_cn import XSet, corank1_tester, enumerate_cvertices, x_set
 from .projection import (
     factor_distance,
     farey_distance,
@@ -21,13 +21,11 @@ from .projection import (
 )
 from .stallings import (
     Expression,
-    _tree_data,
     apply_to_factor,
-    canonical_code,
+    class_frame,
     factor_class,
     invert_automorphism,
     is_free_factor,
-    subgroup_graph,
 )
 from .words import Automorphism, Word, abelianize, cyclic_reduce, cyclic_words
 
@@ -62,42 +60,18 @@ class FillReport:
         return NoWitnessFound(self.bound, self.scanned, self.inconclusive)
 
 
-def _corank1_tester(A, phi=None):
-    """For a factor of rank n-1, disjointness from a rank-1 class is exact:
-    move A to the sub-rose on the first n-1 letters by a Whitehead chain;
-    a class is disjoint from A iff its image crosses the last letter
-    exactly once (it is then a free complement, seen by Nielsen moves).
-    A caller who already knows an automorphism carrying A to that sub-rose
-    can pass it as phi to skip the Whitehead reduction."""
-    n = A.rank_ambient
-    if A.rank != n - 1:
-        return None
-    if phi is None:
-        res = is_free_factor(A)
-        if not res.is_factor:
-            raise ValueError("not a free factor")
-        phi = res.witness
-
-    def test(w):
-        img, _ = cyclic_reduce(phi(w))
-        hits = sum(1 for x in img.letters if abs(x) == n)
-        return hits == 1
-
-    return test
-
-
 def fill_check(A, B, s=8, conj_len=3, max_witnesses=50, phi_a=None,
                phi_b=None):
     """Search for a rank-1 class disjoint from both A and B among cyclic
     words of length <= s.  A witness refutes filling; an empty result is
     exact when both factors have rank n-1 and budget-flagged otherwise.
     phi_a/phi_b are optional sub-rose-izing automorphisms (see
-    _corank1_tester)."""
+    corank1_tester)."""
     if A.rank < 2 or B.rank < 2:
         raise ValueError("filling is about factors of rank >= 2")
     n = A.rank_ambient
-    test_a = _corank1_tester(A, phi_a)
-    test_b = _corank1_tester(B, phi_b)
+    test_a = corank1_tester(A, phi_a)
+    test_b = corank1_tester(B, phi_b)
     witnesses = []
     scanned = 0
     inconclusive = 0
@@ -149,11 +123,7 @@ def restriction(f, A):
     """
     if apply_to_factor(f, A) != A:
         raise ValueError("f does not preserve A as a conjugacy class")
-    g = subgroup_graph([f(w) for w in A.gens()])
-    core = g.without_basepoint()
-    _, start = canonical_code(core)
-    path, _ = _tree_data(g)
-    d = path[start]
+    d = class_frame([f(w) for w in A.gens()])
     expr = Expression(A.gens())
     images = []
     for w in A.gens():
@@ -261,19 +231,26 @@ class PingPongSpec:
     psi_inv: Automorphism = None
     fill: FillReport = None
 
+    def _once(self, name, make):
+        """The attribute name, set to make(self) on first use."""
+        if name not in self.__dict__:
+            self.__dict__[name] = make(self)
+        return self.__dict__[name]
+
     def inverse(self, sym):
         """f^-1 or g^-1 (sym "f" or "g"), inverted exactly on first use."""
-        cache = self.__dict__.setdefault("_inverses", {})
-        if sym not in cache:
-            cache[sym] = invert_automorphism(getattr(self, sym))
-        return cache[sym]
+        return self._once("_inverse_" + sym, lambda spec: invert_automorphism(
+            getattr(spec, sym)))
+
+    def shifts(self):
+        """(f^(N-k), f^-k) for k = N//2, computed on first use."""
+        k = self.N // 2
+        return self._once("_shifts", lambda spec: (
+            spec.f ** (spec.N - k), spec.inverse("f") ** k))
 
     def growth_table(self):
         """The projection gaps of _growth_table, computed on first use."""
-        rows = self.__dict__.get("_growth")
-        if rows is None:
-            rows = self._growth = _growth_table(self)
-        return rows
+        return self._once("_growth", _growth_table)
 
     def validate(self):
         if apply_to_factor(self.f, self.A) != self.A:
@@ -380,31 +357,11 @@ def _candidate_factors(n, core_bound, cap):
 def _growth_table(spec, samples=2, seed=0):
     """Projection gaps behind the chain A, f^N B, f^N g^N A, ...: by
     equivariance every interior gap equals one of d_B(A, g^N A) and
-    d_A(B, f^N B).  When psi is known both are pulled back so the
-    projection target is the small factor A and every argument stays
-    moderately sized; otherwise they are measured directly."""
-    if spec.psi is not None:
-        # d_B(A, g^N A) = d_A(psi^-1 A, f^N psi^-1 A) since psi^-1 B = A;
-        # then shift by f^-k (k = N//2) so both arguments stay balanced
-        k = spec.N // 2
-        fk = spec.f ** (spec.N - k)
-        fmk = spec.inverse("f") ** k
-        A1 = apply_to_factor(spec.psi_inv, spec.A)
-        pairs = (
-            ("d_B(A, g^N A)", spec.A, apply_to_factor(fmk, A1),
-             apply_to_factor(fk, A1)),
-            ("d_A(B, f^N B)", spec.A, apply_to_factor(fmk, spec.B),
-             apply_to_factor(fk, spec.B)),
-        )
-    else:
-        fN = spec.f ** spec.N
-        gN = spec.g ** spec.N
-        pairs = (
-            ("d_B(A, g^N A)", spec.B, spec.A, apply_to_factor(gN, spec.A)),
-            ("d_A(B, f^N B)", spec.A, spec.B, apply_to_factor(fN, spec.B)),
-        )
+    d_A(B, f^N B), the gap at the middle factor of one of the two
+    chain_windows (pulled back to target A when psi is known)."""
     rows = []
-    for name, target, other, moved in pairs:
+    names = ("d_B(A, g^N A)", "d_A(B, f^N B)")
+    for name, (other, target, moved) in zip(names, chain_windows(spec)):
         px = project_factor(target, other, samples=samples, seed=seed)
         py = project_factor(target, moved, samples=samples, seed=seed)
         if not px or not py:
@@ -472,30 +429,19 @@ def chain_windows(spec):
     f^N psi^-1 A); the window at f^N g^N A pulls back by (f^N g^N)^-1 to
     (B, A, f^N B) since g^-N B = B.  Each is then shifted by f^-(N//2),
     which fixes the middle factor A, so the two ends grow like f^(N/2)
-    instead of one end carrying all of f^N."""
+    instead of one end carrying all of f^N.  Computed once per spec."""
+    return spec._once("_windows", _windows)
+
+
+def _windows(spec):
     if spec.psi is not None:
-        k = spec.N // 2
-        fk = spec.f ** (spec.N - k)
-        fmk = spec.inverse("f") ** k
+        fk, fmk = spec.shifts()
         A1 = apply_to_factor(spec.psi_inv, spec.A)
-        w1 = [apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)]
-        w2 = [apply_to_factor(fmk, spec.B), spec.A,
-              apply_to_factor(fk, spec.B)]
-    else:
-        fN = spec.f ** spec.N
-        gN = spec.g ** spec.N
-        w1 = [spec.A, spec.B, apply_to_factor(gN, spec.A)]
-        w2 = [spec.B, spec.A, apply_to_factor(fN, spec.B)]
-    return [w1, w2]
-
-
-def _class_frame(gens):
-    """For a list of generating words, the word d carrying the canonical
-    class representative onto their actual span: <gens> = d * class * d^-1."""
-    g = subgroup_graph(gens)
-    _, start = canonical_code(g.without_basepoint())
-    path, _ = _tree_data(g)
-    return path[start]
+        return ((apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)),
+                (apply_to_factor(fmk, spec.B), spec.A,
+                 apply_to_factor(fk, spec.B)))
+    return ((spec.A, spec.B, apply_to_factor(spec.g ** spec.N, spec.A)),
+            (spec.B, spec.A, apply_to_factor(spec.f ** spec.N, spec.B)))
 
 
 def translate_xset(xs, h):
@@ -503,11 +449,11 @@ def translate_xset(xs, h):
     member by member, with the splitting conjugators corrected into the
     canonical frames of the image classes.  This sidesteps enumeration,
     which finds nothing when h stretches every short disjoint class."""
-    e = _class_frame([h(w) for w in xs.factor.gens()])
+    e = class_frame([h(w) for w in xs.factor.gens()])
     members = []
     for v, c in xs.members:
         imgs = [h(w) for w in v.gens()]
-        d = _class_frame(imgs)
+        d = class_frame(imgs)
         members.append((factor_class(imgs), ~e * h(c) * d))
     return XSet(apply_to_factor(h, xs.factor), xs.complexity_bound, members)
 
@@ -521,9 +467,7 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
     their own sets)."""
     if spec.psi is None:
         return None
-    k = spec.N // 2
-    fk = spec.f ** (spec.N - k)
-    fmk = spec.inverse("f") ** k
+    fk, fmk = spec.shifts()
     xa = _xset_grow(spec.A, s, cap, conj_len)
     return [
         [translate_xset(xa, fmk * spec.psi_inv), xa,

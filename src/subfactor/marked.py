@@ -18,11 +18,21 @@ from .stallings import (
     GraphBuilder,
     StallingsGraph,
     factor_class,
+    incidence,
     invert_automorphism,
     is_basis,
     is_free_factor,
+    spanning_tree,
 )
-from .words import Automorphism, Word, word_from_str, word_to_str
+from .words import (
+    Automorphism,
+    Word,
+    _inverse_letters,
+    _join,
+    _word,
+    word_from_str,
+    word_to_str,
+)
 
 
 class MarkingError(ValueError):
@@ -56,25 +66,17 @@ class MarkedGraph:
     def edge_by_id(self):
         return {e: (u, v) for e, u, v in self.edges}
 
+    def arcs(self):
+        """The edges as (u, v, eid) triples, the form the graph walks take."""
+        return [(u, v, e) for e, u, v in self.edges]
+
     def graph_rank(self):
         return len(self.edges) - len(self.vertex_set()) + 1
 
     def is_connected(self):
         vs = self.vertex_set()
-        if not vs:
-            return False
-        adj = {v: set() for v in vs}
-        for _, u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen, stack = set(), [min(vs)]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x] - seen)
-        return seen == vs
+        return bool(vs) and len(
+            spanning_tree(min(vs), self.arcs())[0]) == len(vs)
 
     def is_core(self):
         val = {v: 0 for v in self.vertex_set()}
@@ -101,36 +103,24 @@ class MarkedGraph:
 
     # -- spanning tree and loop basis ----------------------------------
 
+    def path_word(self, path):
+        """The product of the edge words along an (eid, sign) path."""
+        m = self.marking
+        return _word(self.rank, _join(
+            m[e].letters if s > 0 else _inverse_letters(m[e].letters)
+            for e, s in path))
+
     def tree_data(self):
-        """Deterministic BFS tree from the base vertex.
+        """spanning_tree from the base vertex.
 
         Returns (tree_eids, path_words, path_edges) where path_edges[x] is
         the (eid, sign) path from the base to x.
         """
-        base = self.base_vertex()
-        incident = {}
-        for eid, u, v in self.edges:
-            incident.setdefault(u, []).append((eid, 1, v))
-            incident.setdefault(v, []).append((eid, -1, u))
-        path_words = {base: Word.identity(self.rank)}
-        path_edges = {base: []}
-        tree = set()
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for x in sorted(frontier):
-                for eid, sign, other in sorted(incident.get(x, [])):
-                    if other in path_words:
-                        continue
-                    w = self.marking[eid]
-                    path_words[other] = path_words[x] * (w if sign > 0 else ~w)
-                    path_edges[other] = path_edges[x] + [(eid, sign)]
-                    tree.add(eid)
-                    nxt.append(other)
-            frontier = nxt
-        if len(path_words) != len(self.vertex_set()):
+        path_edges, tree = spanning_tree(self.base_vertex(), self.arcs())
+        if len(path_edges) != len(self.vertex_set()):
             raise MarkingError("graph is not connected")
-        return tree, path_words, path_edges
+        path_words = {x: self.path_word(p) for x, p in path_edges.items()}
+        return {e for _, _, e in tree}, path_words, path_edges
 
     def loop_basis(self):
         """One word per non-tree edge; together they generate the marking
@@ -242,6 +232,11 @@ def transformed(G, phi):
 # translating words to edge paths
 
 
+def _reversed_path(path):
+    """The inverse of an edge path: its steps backwards, signs flipped."""
+    return [(key, -sign) for key, sign in reversed(path)]
+
+
 def tighten(path):
     """Cancel backtracking (e,s)(e,-s) pairs in an edge path."""
     out = []
@@ -275,7 +270,7 @@ class PathTranslator:
         for eid in nontree:
             u, v = ebi[eid]
             loops.append(tighten(path_edges[u] + [(eid, 1)]
-                                 + [(e, -s) for e, s in reversed(path_edges[v])]))
+                                 + _reversed_path(path_edges[v])))
             words.append(path_words[u] * G.marking[eid] * ~path_words[v])
         if len(words) != G.rank:
             raise MarkingError("marked graph must have graph rank n")
@@ -288,7 +283,7 @@ class PathTranslator:
             path = []
             for x in q.letters:
                 l = loops[abs(x) - 1]
-                path.extend(l if x > 0 else [(e, -s) for e, s in reversed(l)])
+                path.extend(l if x > 0 else _reversed_path(l))
             self.gen_paths.append(tighten(path))
 
     def word_to_path(self, w):
@@ -296,15 +291,11 @@ class PathTranslator:
         path = []
         for x in w.letters:
             g = self.gen_paths[abs(x) - 1]
-            path.extend(g if x > 0 else [(e, -s) for e, s in reversed(g)])
+            path.extend(g if x > 0 else _reversed_path(g))
         return tighten(path)
 
     def path_to_word(self, path):
-        out = Word.identity(self.G.rank)
-        for eid, sign in path:
-            w = self.G.marking[eid]
-            out = out * (w if sign > 0 else ~w)
-        return out
+        return self.G.path_word(path)
 
 
 def loop_length(G, w):
@@ -365,19 +356,8 @@ class Immersion:
 
     def ambient_word(self, path):
         """Read a domain edge path ((label, sign) pairs) as an ambient word."""
-        out = Word.identity(self.target.rank)
-        for label, sign in path:
-            w = self.target.marking[self.eids[label - 1]]
-            out = out * (w if sign > 0 else ~w)
-        return out
-
-    def pulled_back_lengths(self):
-        if self.target.lengths is None:
-            return None
-        return {
-            (u, v, label): self.target.lengths[self.eids[label - 1]]
-            for u, v, label in self.domain.edges
-        }
+        return self.target.path_word(
+            (self.eids[label - 1], sign) for label, sign in path)
 
 
 def cover_core(A, G, translator=None):
@@ -401,47 +381,19 @@ def cover_core(A, G, translator=None):
 
 
 def _components(vertices, edges):
-    """Connected components of (vertices, edge triples)."""
-    adj = {v: set() for v in vertices}
-    for u, v, _ in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    """spanning_tree of each connected component of (vertices, edge
+    triples), rooted at its least vertex."""
     seen = set()
-    comps = []
     for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
+        if v not in seen:
+            paths, tree = spanning_tree(v, edges)
+            seen.update(paths)
+            yield paths, tree
 
 
 def _domain_paths(domain):
     """BFS (label, sign) paths from the basepoint to every domain vertex."""
-    incident = {}
-    for u, v, label in domain.edges:
-        incident.setdefault(u, []).append((label, 1, v))
-        incident.setdefault(v, []).append((label, -1, u))
-    paths = {domain.basepoint: []}
-    frontier = [domain.basepoint]
-    while frontier:
-        nxt = []
-        for x in sorted(frontier):
-            for label, sign, other in sorted(incident.get(x, [])):
-                if other in paths:
-                    continue
-                paths[other] = paths[x] + [(label, sign)]
-                nxt.append(other)
-        frontier = nxt
-    return paths
+    return spanning_tree(domain.basepoint, domain.edges)[0]
 
 
 def one_edge_collapse_factors(imm):
@@ -457,37 +409,15 @@ def one_edge_collapse_factors(imm):
     out = set()
     for cut in core.edges:
         rest = [e for e in core.edges if e != cut]
-        for comp in _components(core.vertex_set(), rest):
-            comp_edges = [e for e in rest if e[0] in comp and e[1] in comp]
-            rank = len(comp_edges) - len(comp) + 1
-            if rank < 1:
-                continue
-            root = min(comp)
-            # spanning tree of the component
-            tree_path = {root: []}
-            tree = set()
-            frontier = [root]
-            incident = {}
-            for u, v, label in comp_edges:
-                incident.setdefault(u, []).append((label, 1, v, (u, v, label)))
-                incident.setdefault(v, []).append((label, -1, u, (u, v, label)))
-            while frontier:
-                nxt = []
-                for x in sorted(frontier):
-                    for label, sign, other, edge in sorted(incident.get(x, [])):
-                        if other in tree_path:
-                            continue
-                        tree_path[other] = tree_path[x] + [(label, sign)]
-                        tree.add(edge)
-                        nxt.append(other)
-                frontier = nxt
-            conj = base_paths[root]
+        for tree_path, tree in _components(core.vertex_set(), rest):
+            conj = base_paths[min(tree_path)]
             gens = []
-            for u, v, label in comp_edges:
-                if (u, v, label) in tree:
+            for u, v, label in rest:
+                if u not in tree_path or (u, v, label) in tree:
                     continue
-                loop = tree_path[u] + [(label, 1)] + [(l, -s) for l, s in reversed(tree_path[v])]
-                word = imm.ambient_word(conj + loop + [(l, -s) for l, s in reversed(conj)])
+                loop = (conj + tree_path[u] + [(label, 1)]
+                        + _reversed_path(conj + tree_path[v]))
+                word = imm.ambient_word(loop)
                 local = expr.express(word)
                 if local is None:
                     raise MarkingError("collapse generator fell outside A")
@@ -508,12 +438,7 @@ def _embedded_circles(G):
     for eid, u, v in G.edges:
         if u == v:
             seen[frozenset([eid])] = [(eid, 1)]
-    incident = {}
-    for eid, u, v in G.edges:
-        if u == v:
-            continue
-        incident.setdefault(u, []).append((eid, 1, v))
-        incident.setdefault(v, []).append((eid, -1, u))
+    incident = incidence((u, v, eid) for eid, u, v in G.edges if u != v)
 
     def dfs(start, current, path, used_vertices):
         for eid, sign, other in incident.get(current, []):
@@ -585,16 +510,13 @@ def candidate_loops(G):
                         _rotate_to(G, c1, x)
                         + path
                         + _rotate_to(G, c2, y)
-                        + [(e, -s) for e, s in reversed(path)]
+                        + _reversed_path(path)
                     )
     return out
 
 
 def _shortest_arc(G, src, dst, forbidden_interior):
-    incident = {}
-    for eid, u, v in G.edges:
-        incident.setdefault(u, []).append((eid, 1, v))
-        incident.setdefault(v, []).append((eid, -1, u))
+    incident = incidence(G.arcs())
     from collections import deque
 
     q = deque((s, []) for s in sorted(src))

@@ -24,6 +24,7 @@ from .stallings import (
     apply_to_factor,
     contained_up_to_conjugacy,
     factor_class,
+    find,
     is_free_factor,
     mod2_span,
 )
@@ -156,7 +157,8 @@ class OmegaData:
 
     def is_nearly_embedded(self):
         core = self.immersion.core()
-        return _is_forest(core.vertex_set(), self.omega_tilde)
+        return _spanning_forest(core.vertex_set(), (),
+                                self.omega_tilde) is not None
 
 
 def omega_data(A, G, b_eids=None):
@@ -179,21 +181,21 @@ def omega_data(A, G, b_eids=None):
     return OmegaData(imm, omega, tilde, eb)
 
 
-def _is_forest(vertices, edges):
+def _spanning_forest(vertices, edges, forced):
+    """A spanning forest of (vertices, edges) through every forced edge,
+    greedy in sorted edge order; None when the forced edges contain a
+    cycle."""
+    forced = set(forced)
     parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    tree = set()
+    for e in sorted(forced) + sorted(edges):
+        ru, rv = find(parent, e[0]), find(parent, e[1])
+        if ru != rv:
+            parent[ru] = rv
+            tree.add(e)
+        elif e in forced and e not in tree:
+            return None
+    return tree
 
 
 def near_embedding(A, G):
@@ -250,10 +252,10 @@ def joint_embedding(A, B, G):
     core = immA.core()
     if not core.edges:
         return None
-    forest = set(od.omega_tilde) | set(od.eb)
-    if not _is_forest(core.vertex_set(), forest):
+    tree = _spanning_forest(core.vertex_set(), core.edges,
+                            od.omega_tilde + od.eb)
+    if tree is None:
         return None
-    tree = _extend_to_spanning_tree(core.vertex_set(), core.edges, forest)
     outside = [e for e in core.edges if e not in tree]
     p_outside = [immA.eid_of_label(label) for _, _, label in outside]
     if len(set(p_outside)) != len(p_outside):
@@ -290,33 +292,6 @@ def joint_embedding(A, B, G):
     witness = DisjointWitness(W, frozenset(a_eids), frozenset(b_eids))
     witness.verify(A, B)
     return witness
-
-
-def _extend_to_spanning_tree(vertices, edges, forest):
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for e in sorted(forest):
-        u, v, _ = e
-        ru, rv = find(u), find(v)
-        assert ru != rv
-        parent[ru] = rv
-        tree.add(e)
-    for e in sorted(edges):
-        if e in tree:
-            continue
-        u, v, _ = e
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.add(e)
-    return tree
 
 
 def splitting_witness(A, B, conj, comp_words):

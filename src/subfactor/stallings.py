@@ -32,6 +32,52 @@ class NotInSubgroupError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# graph walks shared by every module: edges are (u, v, key) triples, read
+# forwards (sign 1) from u and backwards (sign -1) from v
+
+
+def find(parent, x):
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def incidence(edges):
+    """Vertex -> its (key, sign, other end) steps, in edge order."""
+    steps = {}
+    for u, v, key in edges:
+        steps.setdefault(u, []).append((key, 1, v))
+        steps.setdefault(v, []).append((key, -1, u))
+    return steps
+
+
+def spanning_tree(root, edges):
+    """Deterministic BFS spanning tree of root's component: the frontier
+    is taken in sorted order and each vertex's steps in sorted order.
+
+    Returns (paths, tree) where paths[x] is the (key, sign) path from root
+    to x inside the tree and tree is the set of tree edge triples.
+    """
+    steps = incidence(edges)
+    paths = {root: []}
+    tree = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for x in sorted(frontier):
+            for key, sign, other in sorted(steps.get(x, ())):
+                if other in paths:
+                    continue
+                paths[other] = paths[x] + [(key, sign)]
+                tree.add((x, other, key) if sign > 0 else (other, x, key))
+                nxt.append(other)
+        frontier = nxt
+    return paths, tree
+
+
+# ---------------------------------------------------------------------------
 # mutable builder used for folding
 
 
@@ -87,13 +133,13 @@ class GraphBuilder:
         edges out of w get c^-1*p.  Loop readings at other vertices are
         unchanged."""
         cinv = ~c
-        find = self._find
+        parent = self._parent
         for e in self._incident.get(w, ()):
             rec = self.edges.get(e)
             if rec is None:
                 continue
-            rec[0] = u = find(rec[0])
-            rec[1] = v = find(rec[1])
+            rec[0] = u = find(parent, rec[0])
+            rec[1] = v = find(parent, rec[1])
             if u == w and v == w:
                 rec[3] = cinv * rec[3] * c
             elif v == w:
@@ -106,23 +152,16 @@ class GraphBuilder:
         with a worklist of vertices to recheck.  With provenance, gauge
         moves keep every basepoint loop reading correct."""
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         incident = {v: set() for v in self.vertices}
         for e, rec in self.edges.items():
             incident[rec[0]].add(e)
             incident[rec[1]].add(e)
         self._incident = incident
-        self._find = find
+        self._parent = parent
         pending = list(self.vertices)
         while pending:
             v = pending.pop()
-            if find(v) != v:
+            if find(parent, v) != v:
                 continue
             # normalize endpoints of incident edges, then look for a pair
             # of same-label edges sharing this endpoint on the same side
@@ -134,8 +173,8 @@ class GraphBuilder:
                 if rec is None:
                     incident[v].discard(e)
                     continue
-                rec[0] = find(rec[0])
-                rec[1] = find(rec[1])
+                rec[0] = find(parent, rec[0])
+                rec[1] = find(parent, rec[1])
                 if rec[0] != v and rec[1] != v:
                     incident[v].discard(e)
                     continue
@@ -156,10 +195,11 @@ class GraphBuilder:
             eu, ev, _, ep = self.edges[e]
             fu, fv, _, fp = self.edges[f]
             if side == "out":
-                a, b = find(ev), find(fv)
+                a, b = find(parent, ev), find(parent, fv)
             else:
-                a, b = find(eu), find(fu)
-            base = find(self.basepoint) if self.basepoint is not None else None
+                a, b = find(parent, eu), find(parent, fu)
+            base = (find(parent, self.basepoint)
+                    if self.basepoint is not None else None)
             if ep is not None and a != b:
                 # make prov of f agree with prov of e before identifying
                 if b != base:
@@ -188,13 +228,13 @@ class GraphBuilder:
             pending.append(v)
         # final endpoint normalization
         for rec in self.edges.values():
-            rec[0] = find(rec[0])
-            rec[1] = find(rec[1])
-        self.vertices = {v for v in self.vertices if find(v) == v}
+            rec[0] = find(parent, rec[0])
+            rec[1] = find(parent, rec[1])
+        self.vertices = {v for v in self.vertices if find(parent, v) == v}
         if self.basepoint is not None:
-            self.basepoint = find(self.basepoint)
+            self.basepoint = find(parent, self.basepoint)
         del self._incident
-        del self._find
+        del self._parent
 
     def trim(self, keep_basepoint=True):
         """Remove valence<2 vertices (never the basepoint when kept), with a
@@ -263,36 +303,6 @@ class StallingsGraph:
                 return False
             seen.add((u, label, "o"))
             seen.add((v, label, "i"))
-        return True
-
-    def is_connected(self):
-        vs = self.vertex_set()
-        if not vs:
-            return True
-        adj = {v: set() for v in vs}
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = set()
-        stack = [next(iter(sorted(vs)))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x] - seen)
-        return seen == vs
-
-    def is_core(self):
-        val = {v: 0 for v in self.vertex_set()}
-        for u, v, _ in self.edges:
-            val[u] += 1
-            val[v] += 1
-        for v, k in val.items():
-            if v == self.basepoint:
-                continue
-            if k < 2:
-                return False
         return True
 
     def graph_rank(self):
@@ -378,29 +388,11 @@ def contains_element(graph, w):
 
 
 def _tree_data(graph):
-    """Deterministic BFS spanning tree from the basepoint.
-
-    Returns (path, tree_edges) where path[v] is the word read from the
-    basepoint to v inside the tree.
-    """
-    base = graph.basepoint
-    path = {base: Word.identity(graph.rank)}
-    tree = set()
-    frontier = [base]
-    incident = {}
-    for u, v, label in graph.edges:
-        incident.setdefault(u, []).append((label, 1, v, (u, v, label)))
-        incident.setdefault(v, []).append((label, -1, u, (u, v, label)))
-    while frontier:
-        nxt = []
-        for x in sorted(frontier):
-            for label, sign, other, edge in sorted(incident.get(x, [])):
-                if other in path:
-                    continue
-                path[other] = path[x] * Word(graph.rank, (sign * label,))
-                tree.add(edge)
-                nxt.append(other)
-        frontier = nxt
+    """spanning_tree from the basepoint, with each path read as the word
+    it spells.  Returns (path, tree_edges)."""
+    paths, tree = spanning_tree(graph.basepoint, graph.edges)
+    path = {x: _word(graph.rank, free_reduce(s * label for label, s in p))
+            for x, p in paths.items()}
     return path, tree
 
 
@@ -641,6 +633,15 @@ class FactorClass:
         return f"FactorClass(n={self.rank_ambient}, rank={self.rank}, gens={[str(w) for w in self.gens()]})"
 
 
+def class_frame(gens):
+    """The word d carrying the canonical representative of the class of
+    <gens> onto <gens> itself: <gens> = d * representative * d^-1."""
+    g = subgroup_graph(gens)
+    _, start = canonical_code(g.without_basepoint())
+    path, _ = _tree_data(g)
+    return path[start]
+
+
 def factor_class(gens):
     """Canonical conjugacy-class form of the subgroup generated by `gens`."""
     g = subgroup_graph(gens)
@@ -665,14 +666,10 @@ def contained_up_to_conjugacy(A, B):
     search between cores (extension is unique on folded targets)."""
     if A.rank_ambient != B.rank_ambient:
         raise ValueError("ambient rank mismatch")
-    a_edges = A.core.edges
     a_vs = sorted(A.core.vertex_set())
     b_out = B.core.out_map()
     b_inn = B.core.in_map()
-    incident = {}
-    for u, v, label in a_edges:
-        incident.setdefault(u, []).append((label, 1, v))
-        incident.setdefault(v, []).append((label, -1, u))
+    incident = incidence(A.core.edges)
     start = a_vs[0]
     for target in sorted(B.core.vertex_set()):
         image = {start: target}

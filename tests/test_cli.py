@@ -81,6 +81,18 @@ def test_usage_errors(capsys):
     assert main(["--plateau-depth", "2", "farey", "--u", "a",
                  "--v", "b"]) == 2
     capsys.readouterr()
+    # domain errors: the mathematics rejects the input (1 means a failed
+    # suite, so these exit 2 with one line on stderr, not a traceback)
+    for argv, message in (
+            (["farey", "--u", "aa", "--v", "b"], "not a primitive class"),
+            (["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc",
+              "--syllables", "1"], "need an alternating word"),
+            (["project", "--rank", "3", "--a", "aa", "--b", "b"],
+             "need rank(A) >= 2")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 def test_reports_deterministic(capsys):
