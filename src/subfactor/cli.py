@@ -4,8 +4,12 @@ values, ping-pong evidence, and verification suites.
 All reports are JSON with sorted keys; identical configuration and seed
 give byte-identical output.  Exit codes: 0 decided/pass, 1 a verification
 suite failed, 2 usage or domain error (bad options, or input the
-mathematics rejects, such as a non-primitive word for farey), 3
-inconclusive at the configured budget.
+mathematics rejects, such as a non-primitive word for farey), 3 no answer
+where the command wants one: for classify the verdict is unknown at the
+budget, for project and distance a projection is empty, and for pingpong
+the fill check found witnesses and no invariant factor turned up, so there
+is no irreducibility evidence.  A failed internal consistency check is a
+bug, not an exit code: it raises RuntimeError with its traceback.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .projection import (
 from .stallings import (
     Expression,
     FreeFactorResult,
+    REASONS,
     _reduction_cache,
     apply_to_factor,
     class_frame,
@@ -103,9 +108,10 @@ def load_cache(path):
     """Seed the in-process reduction cache from a newline-delimited JSON
     file.  Lines that are not valid records are skipped: a truncated final
     line (crashed writer), a record missing a field or holding one of the
-    wrong type, and a record marked "certified": false, which an older,
-    budgeted reduction wrote.  Older records carrying a "depth" field load
-    under the same (rank, code) key."""
+    wrong type, a record whose reason is not one stallings.REASONS pairs
+    with its verdict, and a record marked "certified": false, which an
+    older, budgeted reduction wrote.  Older records carrying a "depth"
+    field load under the same (rank, code) key."""
     if not path or not os.path.exists(path):
         return set(_reduction_cache)
     with open(path) as fh:
@@ -125,9 +131,10 @@ def _cache_entry(rec):
     if not isinstance(rec, dict) or rec.get("certified", True) is not True:
         return None
     rank, code = rec.get("rank"), rec.get("code")
-    is_factor, reason = rec.get("is_factor"), rec.get("reason", "")
+    is_factor, reason = rec.get("is_factor"), rec.get("reason")
     if (type(rank) is not int or rank < 1 or not isinstance(code, str)
-            or not isinstance(is_factor, bool) or not isinstance(reason, str)):
+            or not isinstance(is_factor, bool) or not isinstance(reason, str)
+            or REASONS.get(reason) is not is_factor):
         return None
     wit = None
     if is_factor:

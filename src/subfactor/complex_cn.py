@@ -15,9 +15,7 @@ from math import gcd
 from .projection import (
     colors_meet,
     factor_distance,
-    farey_adjacent,
     find_disjoint_conjugator,
-    primitive_vector,
     project_factor,
 )
 from .stallings import (
@@ -100,11 +98,6 @@ def is_cn_edge(u, v, conj_len=6):
             res = EdgeResult(False, False)
     _edge_cache[key] = res
     return res
-
-
-def farey_edge_matches(u, v):
-    """In rank-2 ambient coordinates the edge relation is Farey adjacency."""
-    return farey_adjacent(primitive_vector(u), primitive_vector(v))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +272,12 @@ def cn_distance_bounds(u, v, s=6, conj_len=4, pool=None, chain_links=0):
 
 @dataclass(eq=False)
 class ChainReport:
+    # on success every geodesic between the end X-sets meets all the
+    # intermediate ones, so the chain length is a distance lower bound
     ok: bool
     links: int
     failures: list
     details: list
-
-    def lower_bound_token(self):
-        """On success, the progress conclusion: every geodesic between the
-        end X-sets meets all the intermediate ones, so the chain length is a
-        distance lower bound."""
-        return self.links if self.ok else None
 
 
 def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,

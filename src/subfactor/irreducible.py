@@ -35,29 +35,14 @@ from .words import Automorphism, Word, abelianize, cyclic_reduce, cyclic_words
 
 
 @dataclass(eq=False)
-class NoWitnessFound:
+class FillReport:
+    witnesses: list  # rank-1 classes disjoint from both factors
     bound: int
     scanned: int
     inconclusive: int  # candidates where the budgeted search decided nothing
 
     def __bool__(self):
-        return False
-
-
-@dataclass(eq=False)
-class FillReport:
-    witnesses: list  # rank-1 classes disjoint from both factors
-    bound: int
-    scanned: int
-    inconclusive: int
-
-    def __bool__(self):
         return bool(self.witnesses)
-
-    def outcome(self):
-        if self.witnesses:
-            return self.witnesses[0]
-        return NoWitnessFound(self.bound, self.scanned, self.inconclusive)
 
 
 def fill_check(A, B, s=8, conj_len=3, max_witnesses=50, phi_a=None,
@@ -129,7 +114,7 @@ def restriction(f, A):
     for w in A.gens():
         img = expr.express(~d * f(w) * d)
         if img is None:
-            raise ValueError("conjugated image fell outside A (marking bug)")
+            raise RuntimeError("conjugated image fell outside A (marking bug)")
         images.append(img)
     return Automorphism(A.rank, tuple(images)), d
 
@@ -201,19 +186,6 @@ def syllable_reduce(syllables):
         else:
             out.append((sym, e))
     return out
-
-
-def syllable_length(syllables):
-    return len(syllable_reduce(syllables))
-
-
-def syllable_power(syllables, m):
-    return syllable_reduce(list(syllables) * m)
-
-
-def is_cyclically_reduced_syllables(syllables):
-    s = syllable_reduce(syllables)
-    return len(s) <= 1 or s[0][0] != s[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,6 @@ def primitive_vector(F):
     return (p, q)
 
 
-def farey_adjacent(v, w):
-    p, q = v
-    r, s = w
-    return abs(p * s - q * r) == 1
-
-
 @lru_cache(maxsize=None)
 def _dist_to_infinity(r, s):
     """Distance from (r, s) to (1, 0) in the Farey graph, by branching
@@ -82,7 +76,8 @@ def farey_distance(v, w):
         return 0
     # move v to (1, 0) by an integer matrix of determinant 1
     g, x, y = _xgcd(p, q)
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"xgcd of the primitive {v} gave {g}, not 1")
     r2, s2 = x * r + y * s, -q * r + p * s
     return _dist_to_infinity(r2, s2)
 
@@ -152,9 +147,6 @@ class OmegaData:
     omega_tilde: tuple  # their preimage edges in the domain core
     eb: tuple = None  # domain edges over an embedded B-subgraph, if given
 
-    def is_embedded(self):
-        return not self.omega_eids
-
     def is_nearly_embedded(self):
         core = self.immersion.core()
         return _spanning_forest(core.vertex_set(), (),
@@ -216,7 +208,7 @@ class DisjointWitness:
     b_eids: frozenset
 
     def verify(self, A, B):
-        self.graph.validate(require_core=False)
+        self.graph.validate()
         if self.a_eids & self.b_eids:
             raise MarkingError("witness subgraphs share an edge")
         if _subgraph_class(self.graph, self.a_eids) != A:

@@ -27,10 +27,6 @@ class TrivialSubgroupError(ValueError):
     pass
 
 
-class NotInSubgroupError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # graph walks shared by every module: edges are (u, v, key) triples, read
 # forwards (sign 1) from u and backwards (sign -1) from v
@@ -296,15 +292,6 @@ class StallingsGraph:
             m[(v, label)] = u
         return m
 
-    def is_folded(self):
-        seen = set()
-        for u, v, label in self.edges:
-            if (u, label, "o") in seen or (v, label, "i") in seen:
-                return False
-            seen.add((u, label, "o"))
-            seen.add((v, label, "i"))
-        return True
-
     def graph_rank(self):
         return len(self.edges) - len(self.vertex_set()) + 1
 
@@ -317,37 +304,6 @@ class StallingsGraph:
         b.basepoint = None
         b.trim(keep_basepoint=False)
         return b.to_graph()
-
-    def to_json(self):
-        d = {
-            "rank": self.rank,
-            "vertices": sorted(self.vertex_set()),
-            "edges": [{"from": u, "to": v, "label": label} for u, v, label in self.edges],
-        }
-        if self.basepoint is not None:
-            d["basepoint"] = self.basepoint
-        return d
-
-    @staticmethod
-    def from_json(d):
-        return StallingsGraph(
-            rank=d["rank"],
-            edges=tuple(sorted((e["from"], e["to"], e["label"]) for e in d["edges"])),
-            basepoint=d.get("basepoint"),
-        )
-
-
-def fold(rank, edges, basepoint=None):
-    """Fold an arbitrary labeled graph; the represented subgroup is unchanged."""
-    b = GraphBuilder(rank)
-    for u, v, label in edges:
-        b.vertices.add(u)
-        b.vertices.add(v)
-        b.add_edge(u, v, label)
-    b.next_vertex = max(b.vertices, default=-1) + 1
-    b.basepoint = basepoint
-    b.fold()
-    return b.to_graph()
 
 
 def subgroup_graph(gens):
@@ -370,23 +326,6 @@ def subgroup_graph(gens):
     return b.to_graph()
 
 
-def contains_element(graph, w):
-    """Membership via the unique label-reading path from the basepoint."""
-    if graph.basepoint is None:
-        raise ValueError("graph must be based")
-    out = graph.out_map()
-    inn = graph.in_map()
-    cur = graph.basepoint
-    for x in w.letters:
-        if x > 0:
-            cur = out.get((cur, x))
-        else:
-            cur = inn.get((cur, -x))
-        if cur is None:
-            return False
-    return cur == graph.basepoint
-
-
 def _tree_data(graph):
     """spanning_tree from the basepoint, with each path read as the word
     it spells.  Returns (path, tree_edges)."""
@@ -405,34 +344,6 @@ def basis(graph):
             continue
         words.append(path[u] * Word(graph.rank, (label,)) * ~path[v])
     return words
-
-
-def rewrite(graph, w):
-    """Express w (an element of the subgroup) as a word over basis(graph)."""
-    path, tree = _tree_data(graph)
-    nontree = [e for e in graph.edges if e not in tree]
-    index = {e: i + 1 for i, e in enumerate(nontree)}
-    out = graph.out_map()
-    inn = graph.in_map()
-    cur = graph.basepoint
-    letters = []
-    for x in w.letters:
-        if x > 0:
-            nxt = out.get((cur, x))
-            edge = (cur, nxt, x) if nxt is not None else None
-            sign = 1
-        else:
-            nxt = inn.get((cur, -x))
-            edge = (nxt, cur, -x) if nxt is not None else None
-            sign = -1
-        if nxt is None:
-            raise NotInSubgroupError(f"{w} is not in the subgroup")
-        if edge in index:
-            letters.append(sign * index[edge])
-        cur = nxt
-    if cur != graph.basepoint:
-        raise NotInSubgroupError(f"{w} is not in the subgroup")
-    return Word(max(len(nontree), 1), free_reduce(letters))
 
 
 class Expression:
@@ -500,7 +411,8 @@ def is_basis(words):
 def invert_automorphism(phi):
     """Exact inverse of an automorphism, via provenance folding.
 
-    Raises ValueError if the images are not a basis.
+    Raises ValueError if the images are not a basis, and RuntimeError if
+    the computed inverse fails its composition check.
     """
     if not is_basis(phi.images):
         raise ValueError("images are not a basis; not an automorphism")
@@ -513,7 +425,7 @@ def invert_automorphism(phi):
         imgs.append(q)
     inv = Automorphism(phi.rank, tuple(imgs))
     if not (phi * inv).is_identity():
-        raise ValueError("computed inverse does not compose to the identity")
+        raise RuntimeError("computed inverse does not compose to the identity")
     return inv
 
 
@@ -723,6 +635,17 @@ class FreeFactorResult:
         return self.is_factor
 
 
+# every reason a free-factor verdict can carry, with that verdict; the
+# NDJSON cache (cli._cache_entry) skips a record whose pair is not here
+OVER_RANK = "rank exceeds ambient rank"
+PROPER_RANK_N = "rank-n proper subgroup cannot be a free factor"
+MOD2_DEFECT = "mod-2 homology rank defect"
+NOT_SUMMAND = "abelianization is not a direct summand"
+MINIMAL = "complexity-minimal and not a sub-rose"
+SUB_ROSE = "reduced to sub-rose"
+REASONS = {OVER_RANK: False, PROPER_RANK_N: False, MOD2_DEFECT: False,
+           NOT_SUMMAND: False, MINIMAL: False, SUB_ROSE: True}
+
 _reduction_cache = {}
 
 
@@ -793,15 +716,15 @@ def _obstruction(F):
 
     n = F.rank_ambient
     if F.rank > n:
-        return "rank exceeds ambient rank"
+        return OVER_RANK
     if F.rank == n and not (F.is_sub_rose() and len(F.core.edges) == n):
-        return "rank-n proper subgroup cannot be a free factor"
+        return PROPER_RANK_N
     span = mod2_span(F.gens())
     if len(span) < F.rank:
-        return "mod-2 homology rank defect"
+        return MOD2_DEFECT
     div = _smith_divisors([abelianize(w) for w in F.gens()])
     if any(d != 1 for d in div):
-        return "abelianization is not a direct summand"
+        return NOT_SUMMAND
     return None
 
 
@@ -864,8 +787,7 @@ def _reduce(F):
         else:
             # type I moves keep the edge count, so peak reduction makes
             # this strict local minimum orbit-minimal
-            return FreeFactorResult(
-                False, reason="complexity-minimal and not a sub-rose")
+            return FreeFactorResult(False, reason=MINIMAL)
         current, gens = cand, cand_gens
         chain.append(phi)
         # conjugating junk can pile up on the words; re-canonicalize when
@@ -873,7 +795,7 @@ def _reduce(F):
         if sum(len(w) for w in gens) > 2 * current.complexity() + 20:
             gens = list(current.gens())
     return FreeFactorResult(True, witness=_finish(current, chain),
-                            reason="reduced to sub-rose")
+                            reason=SUB_ROSE)
 
 
 def random_automorphism(rank, rng, length=4):

@@ -113,10 +113,6 @@ class Word:
             return (~self) ** (-n)
         return _power(self, n, Word.identity(self.rank))
 
-    def conjugate(self, c):
-        """c * self * c^-1."""
-        return c * self * ~c
-
     def __str__(self):
         return word_to_str(self)
 

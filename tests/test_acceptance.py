@@ -24,8 +24,7 @@ from subfactor.irreducible import (
     chain_windows,
     fill_check,
     pingpong_word,
-    syllable_length,
-    syllable_power,
+    syllable_reduce,
     window_xsets,
 )
 from subfactor.projection import behrstock_check, farey_distance
@@ -282,4 +281,4 @@ def test_pingpong_evidence():
 
     w = [("f", spec.N), ("g", spec.N)]
     for m in range(1, 5):
-        assert syllable_length(syllable_power(w, m)) == m * syllable_length(w)
+        assert len(syllable_reduce(w * m)) == m * len(syllable_reduce(w))

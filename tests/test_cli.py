@@ -11,7 +11,7 @@ from subfactor.stallings import (
     factor_from_strs,
     is_free_factor,
 )
-from subfactor.words import word_to_str
+from subfactor.words import Automorphism, word_to_str
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +95,15 @@ def test_usage_errors(capsys):
         assert err.count("\n") == 1
 
 
+def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
+    # a failed consistency check is a bug, not bad input: it leaves main
+    # with its traceback instead of exiting 2
+    monkeypatch.setattr(Automorphism, "is_identity", lambda self: False)
+    with pytest.raises(RuntimeError, match="compose to the identity"):
+        main(["project", "--rank", "3", "--a", "a,b", "--b", "ab,c"])
+    assert capsys.readouterr().err == ""
+
+
 def test_reports_deterministic(capsys):
     args = ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c",
             "--seed", "5"]
@@ -140,12 +149,22 @@ def test_cache_skips_malformed_records(tmp_path, capsys):
         {"rank": 3, "code": 7, "is_factor": False},
         {"rank": 3, "code": "x", "is_factor": "no"},
         {"rank": 3, "code": "x", "is_factor": False, "reason": 1},
-        {"rank": 3, "code": "x", "is_factor": True},
-        {"rank": 3, "code": "x", "is_factor": True, "witness": ["a", "b"]},
+        # positive records with the right reason and a missing, short or
+        # unparsable witness
         {"rank": 3, "code": "x", "is_factor": True,
-         "witness": ["a", "b", "c?"]},
+         "reason": "reduced to sub-rose"},
+        {"rank": 3, "code": "x", "is_factor": True,
+         "reason": "reduced to sub-rose", "witness": ["a", "b"]},
+        {"rank": 3, "code": "x", "is_factor": True,
+         "reason": "reduced to sub-rose", "witness": ["a", "b", "c?"]},
         # written under the old search budget
         {"rank": 3, "code": "x", "is_factor": False, "certified": False},
+        # a reason the program never writes, or one that goes with the
+        # other verdict
+        {"rank": 3, "code": factor_from_strs(3, ["ab", "c"]).code,
+         "is_factor": False, "reason": "poison"},
+        {"rank": 3, "code": "x", "is_factor": False,
+         "reason": "reduced to sub-rose"},
     ]
     cache = tmp_path / "red.ndjson"
     cache.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -154,6 +173,10 @@ def test_cache_skips_malformed_records(tmp_path, capsys):
                     "3", "--a", "a,b", "--b", "c")
     assert code == 0
     assert rep["verdict"] == "disjoint"
+    code, rep = run(capsys, "--cache", str(cache), "project", "--rank", "3",
+                    "--a", "a,b", "--b", "ab,c")
+    assert code == 0
+    assert rep["members"]
 
 
 def test_cache_reads_records_with_depth(tmp_path):

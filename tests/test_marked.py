@@ -1,5 +1,5 @@
-import random
-from fractions import Fraction
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,19 +8,16 @@ from subfactor.marked import (
     MarkingError,
     PathTranslator,
     adapted_rose,
-    candidate_loops,
     cover_core,
-    cyclic_tighten,
-    fold_sequence,
-    lipschitz_stretch,
-    loop_length,
-    middle_interval,
     one_edge_collapse_factors,
     rose,
     transformed,
 )
-from subfactor.stallings import factor_from_strs, random_automorphism
+from subfactor.stallings import factor_from_strs
 from subfactor.words import Automorphism, Word, word_from_str, word_to_str
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import contains_element  # noqa: E402
 
 
 def w(text, rank=2):
@@ -33,7 +30,6 @@ def theta_graph():
         2,
         ((1, 0, 1), (2, 0, 1), (3, 0, 1)),
         {1: w("a"), 2: Word.identity(2), 3: w("b")},
-        {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)},
     )
 
 
@@ -46,24 +42,11 @@ def test_rose_and_validation():
         MarkedGraph(2, ((1, 0, 0), (2, 0, 0)), {1: w("a"), 2: w("a")}).validate()
 
 
-def test_normalize_gauges_tree_to_identity():
-    nt = theta_graph().normalize()
-    nt.validate()
-    tree, _, _ = nt.tree_data()
-    assert all(not nt.marking[e] for e in tree)
-    # loop classes unchanged: both gauges present the same subgroups
-    from subfactor.stallings import factor_class
-
-    a0 = theta_graph().loop_basis()
-    a1 = nt.loop_basis()
-    assert factor_class(a0).rank == factor_class(a1).rank == 2
-
-
 def test_translator_roundtrip():
     t = PathTranslator(theta_graph())
     for s in ["a", "b", "ab", "aBA", "bbA", "abab"]:
         p = t.word_to_path(w(s))
-        assert t.path_to_word(p) == w(s)
+        assert theta_graph().path_word(p) == w(s)
         assert p == [x for x in p]  # already tight
 
 
@@ -106,7 +89,7 @@ def test_cover_core_of_rose():
 
 def test_cover_core_reads_back_into_subgroup():
     # every loop of the cover core reads an element of (a conjugate of) A
-    from subfactor.stallings import contains_element, subgroup_graph
+    from subfactor.stallings import subgroup_graph
 
     G = theta_graph()
     A = factor_from_strs(2, ["ab", "ba"])
@@ -132,99 +115,16 @@ def test_one_edge_collapse_factors():
     assert names == [("a",), ("b",)]
 
 
-def test_lipschitz_stretch_values():
-    half = {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    R = rose(2, half)
-    assert lipschitz_stretch(R, R) == 1
-    phi = Automorphism.from_strs(2, ["ab", "b"])
-    assert lipschitz_stretch(R, transformed(R, phi)) == 2
-    T = theta_graph()
-    assert lipschitz_stretch(T, R) == Fraction(3, 2)
-    assert lipschitz_stretch(R, T) == Fraction(4, 3)
-    # stretch factors of a marking change and its reverse multiply to >= 1
-    assert lipschitz_stretch(T, R) * lipschitz_stretch(R, T) >= 1
-
-
-def test_candidate_loops_cover_classes():
-    T = theta_graph()
-    loops = candidate_loops(T)
-    t = PathTranslator(T)
-    classes = set()
-    for loop in loops:
-        word = t.path_to_word(loop)
-        assert cyclic_tighten(t.word_to_path(word))  # nontrivial class
-        classes.add(word_to_str(word) or word_to_str(~word))
-    assert len(loops) >= 3
-
-
-def test_loop_length():
-    T = theta_graph()
-    assert loop_length(T, w("a")) == Fraction(2, 3)
-    assert loop_length(T, w("ab")) == Fraction(4, 3)
-
-
-def test_fold_sequence_simple():
-    half = {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    R = rose(2, half)
-    phi = Automorphism.from_strs(2, ["ab", "b"])
-    G = transformed(R, phi)
-    seq = fold_sequence(G, R)
-    assert len(seq) == 1
-    assert [len(s.graph.edges) for s in seq.stages] == [3, 2]
-    for s in seq.stages:
-        s.graph.validate(require_core=False)
-    assert all(s.has_train_track_structure() for s in seq.stages)
-
-
-def test_fold_sequence_identity_is_empty():
-    R = rose(2)
-    assert len(fold_sequence(R, R)) == 0
-
-
-def test_fold_sequence_terminates_on_target():
-    rng = random.Random(17)
-    R = rose(3, {i: Fraction(1, 3) for i in (1, 2, 3)})
-    for _ in range(5):
-        phi, _ = random_automorphism(3, rng)
-        G = transformed(R, phi)
-        seq = fold_sequence(G, R)
-        for s in seq.stages:
-            s.graph.validate(require_core=False)
-        final = seq.stages[-1]
-        assert len(final.graph.edges) == 3
-        assert sorted(te for te, _ in final.image.values()) == [1, 2, 3]
-
-
-def test_fold_sequence_through_gauge():
-    # source has an identity edge word, forcing the nontrivial-gauge step
-    T = theta_graph()
-    R = rose(2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-    for src, dst in ((T, R), (R, T)):
-        seq = fold_sequence(src, dst)
-        for s in seq.stages:
-            s.graph.validate(require_core=False)
-        assert len(seq.stages) == len(seq.folds) + 1
-
-
-def test_middle_interval():
-    R = rose(2, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-    phi = Automorphism.from_strs(2, ["aba", "ab"])
-    G = transformed(R, phi)
-    seq = fold_sequence(G, R)
-    start, end = middle_interval(seq, factor_from_strs(2, ["a"]))
-    assert 0 <= start <= end <= len(seq.stages)
-    # degenerate answer is (k, k)
-    k = len(seq.stages)
-    s2, e2 = middle_interval(seq, factor_from_strs(2, ["a"]), require_metric=False)
-    assert (s2, e2) == (start, end) or (s2, e2) == (k, k)
-
-
 def test_json_roundtrip():
-    T = theta_graph()
-    back = MarkedGraph.from_json(T.to_json())
-    assert back.edges == T.edges
-    assert back.marking == T.marking
-    assert back.lengths == T.lengths
-    R = rose(2)
-    back = MarkedGraph.from_json(R.to_json())
-    assert back.marking == R.marking and back.lengths is None
+    # the report format carries enough to rebuild the graph
+    for G in (theta_graph(), rose(2)):
+        d = G.to_json()
+        back = MarkedGraph(
+            d["rank"],
+            tuple((e["id"], e["from"], e["to"]) for e in d["edges"]),
+            {int(k): word_from_str(d["rank"], v)
+             for k, v in d["marking"].items()})
+        assert back.edges == G.edges
+        assert back.marking == G.marking
+        assert d["vertices"] == sorted(G.vertex_set())
+        assert d["tree"] == sorted(G.tree_data()[0])

@@ -1,6 +1,8 @@
 import random
+import sys
 from collections import deque
 from math import gcd
+from pathlib import Path
 
 from subfactor.marked import rose, transformed
 from subfactor.projection import (
@@ -8,7 +10,6 @@ from subfactor.projection import (
     classify_pair,
     colors_meet,
     factor_distance,
-    farey_adjacent,
     farey_distance,
     farey_distance_classes,
     find_disjoint_conjugator,
@@ -26,6 +27,9 @@ from subfactor.stallings import (
     random_automorphism,
 )
 from subfactor.words import word_from_str
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import farey_adjacent  # noqa: E402
 
 
 def w(text, rank=2):
@@ -116,7 +120,7 @@ def test_mod2_colors():
 
 def test_omega_and_near_embedding():
     R = rose(2)
-    assert omega_data(factor_from_strs(2, ["a"]), R).is_embedded()
+    assert not omega_data(factor_from_strs(2, ["a"]), R).omega_eids
     assert near_embedding(factor_from_strs(2, ["ab"]), R)
     # <aa, b>: the two a-edges of the core map to one rose edge and close
     # a circle in the doubled preimage

@@ -1,17 +1,17 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from subfactor.stallings import (
     Expression,
     GraphBuilder,
-    NotInSubgroupError,
     StallingsGraph,
     apply_to_factor,
     basis,
     canonical_code,
     contained_up_to_conjugacy,
-    contains_element,
     factor_class,
     factor_from_strs,
     invert_automorphism,
@@ -19,7 +19,6 @@ from subfactor.stallings import (
     is_free_factor,
     mod2_span,
     random_automorphism,
-    rewrite,
     substitute,
     subgroup_graph,
 )
@@ -33,6 +32,9 @@ from subfactor.words import (
     word_from_str,
     word_to_str,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import contains_element  # noqa: E402
 
 
 def w(text, rank=2):
@@ -113,9 +115,16 @@ def ref_canonical(core):
     return f"{core.rank}|{body}", best_start
 
 
+def is_folded(g):
+    """No two edges with one label leave, or enter, the same vertex."""
+    out = [(u, label) for u, _, label in g.edges]
+    inn = [(v, label) for _, v, label in g.edges]
+    return len(set(out)) == len(out) and len(set(inn)) == len(inn)
+
+
 def test_subgroup_graph_aa_b():
     g = subgroup_graph([w("aa"), w("b")])
-    assert g.is_folded()
+    assert is_folded(g)
     # two vertices joined by a pair of a-edges, with a b-loop at the base
     assert len(g.vertex_set()) == 2
     assert sorted(label for _, _, label in g.edges) == [1, 1, 2]
@@ -136,9 +145,9 @@ def test_basis_and_rewrite():
     b = basis(g)
     assert [word_to_str(x) for x in b] == ["b", "aa"]
     # aab = (aa)(b): in the basis ordering above that is generator 2 then 1
-    assert word_to_str(rewrite(g, w("aab"))) == "ba"
-    with pytest.raises(NotInSubgroupError):
-        rewrite(g, w("a"))
+    expr = Expression(b)
+    assert word_to_str(expr.express(w("aab"))) == "ba"
+    assert expr.express(w("a")) is None
 
 
 def test_basis_generates_same_subgroup():
@@ -288,7 +297,7 @@ def test_invert_automorphism_checks_its_result(monkeypatch):
     phi = Automorphism.from_strs(2, ["ab", "b"])
     monkeypatch.setattr(Expression, "express",
                         lambda self, x: Word(2, x.letters[::-1] * 2))
-    with pytest.raises(ValueError, match="identity"):
+    with pytest.raises(RuntimeError, match="identity"):
         invert_automorphism(phi)
 
 
