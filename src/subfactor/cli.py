@@ -410,10 +410,7 @@ def suite_near_embedded(samples, seed):
         gens = [w for w in gens if w]
         if not gens:
             continue
-        try:
-            A = factor_class(gens)
-        except Exception:
-            continue
+        A = factor_class(gens)
         G = _random_graph(rng, n)
         data = omega_data(A, G)
         if not data.is_nearly_embedded():

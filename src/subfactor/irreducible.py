@@ -244,11 +244,14 @@ class IrreducibilityEvidence:
 
 
 def _apply_capped(auto, F, cap):
-    """Apply an automorphism to a factor class, giving up when the image
-    class gets larger than the cap (measured in core edges)."""
-    gens = [auto(w) for w in F.gens()]
-    if sum(len(w) for w in gens) > 40 * cap:
-        return None
+    """Apply an automorphism to a factor class, giving up once the images
+    pass 40 * cap letters or the image core has more than cap edges."""
+    gens, size = [], 0
+    for w in F.gens():
+        gens.append(auto(w))
+        size += len(gens[-1])
+        if size > 40 * cap:
+            return None
     out = factor_class(gens)
     if out.complexity() > cap:
         return None

@@ -7,6 +7,8 @@ edge read from u to v spells that generator, read backwards its inverse.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .words import (
@@ -739,6 +741,13 @@ def is_free_factor(F):
     of a free factor is a sub-rose.  So descent alone decides, and every
     verdict is certified.  On success the witness maps F to the class of
     the standard sub-rose on the first rank(F) generators.
+
+    Each step takes the first type II move (A, a) of whitehead_type2 that
+    shortens the core, found by counting (Gersten, ibid.; Roig-Ventura-Weil,
+    IJAC 2007): with L(v) the link of v (x for an edge leaving v labelled x,
+    x^-1 for one entering), |E(core phi(G))| = |E(G)| - #{edges labelled a}
+    + #{v : L(v) & A^-1 is neither empty nor L(v)}.  Only that move is
+    folded, and its fold checks the count.
     """
     if isinstance(F, StallingsGraph):
         core = F.without_basepoint()
@@ -768,27 +777,52 @@ def _finish(F, chain):
     return witness
 
 
+@functools.cache
+def _cut_table(rank):
+    """(move, bitmask of A^-1, label of a) for each type II move (A, a) of
+    whitehead_type2(rank), in its order, with bit rank + x for letter x."""
+    return tuple((phi, sum(1 << (rank - x) for x in phi._cut[0]),
+                  abs(phi._cut[1])) for phi in whitehead_type2(rank))
+
+
+def _links(core):
+    """(link bitmask, vertices with that link) pairs of a core, with bits
+    as in _cut_table, and the number of edges per label."""
+    link = {}
+    for u, v, label in core.edges:
+        link[u] = link.get(u, 0) | 1 << (core.rank + label)
+        link[v] = link.get(v, 0) | 1 << (core.rank - label)
+    return (tuple(Counter(link.values()).items()),
+            Counter(label for _, _, label in core.edges))
+
+
 def _reduce(F):
     obstruction = _obstruction(F)
     if obstruction is not None:
         return FreeFactorResult(False, reason=obstruction)
-    moves = whitehead_type2(F.rank_ambient)
+    table = _cut_table(F.rank_ambient)
     chain = []
     current = F
     # explicit generating words so the strict-descent loop never needs
     # canonical starts or codes of large intermediate graphs
     gens = list(F.gens())
     while not current.is_sub_rose():
-        for phi in moves:
-            cand_gens = [phi(w) for w in gens]
-            cand = factor_class(cand_gens)
-            if cand.complexity() < current.complexity():
+        links, per_label = _links(current.core)
+        for phi, inv, label in table:
+            # the vertices whose link A^-1 cuts (see is_free_factor)
+            cut = sum(k for m, k in links if 0 != m & inv != m)
+            if cut < per_label[label]:
                 break  # first improvement; order is fixed, so deterministic
         else:
             # type I moves keep the edge count, so peak reduction makes
             # this strict local minimum orbit-minimal
             return FreeFactorResult(False, reason=MINIMAL)
-        current, gens = cand, cand_gens
+        size = current.complexity() + cut - per_label[label]
+        gens = [phi(w) for w in gens]
+        current = factor_class(gens)
+        if current.complexity() != size:
+            raise RuntimeError("Whitehead move folded to a core whose edge "
+                               "count differs from its cut count")
         chain.append(phi)
         # conjugating junk can pile up on the words; re-canonicalize when
         # they outgrow the core

@@ -283,16 +283,19 @@ def whitehead_automorphisms(rank):
 
     Type I: signed permutations of the generators.  Type II: pick a
     multiplier a = g^e; every other generator is replaced by one of
-    x, x*a, a^-1*x, a^-1*x*a while g itself is fixed.
+    x, x*a, a^-1*x, a^-1*x*a while g itself is fixed.  Each move records
+    its cut (A, a) as ``_cut`` (None for type I): A holds a, each x with
+    x -> x*a or a^-1*x*a, and x^-1 for each x with x -> a^-1*x or a^-1*x*a.
     """
     if rank < 2:
         raise ValueError("rank must be at least 2")
     seen = {}
 
-    def add(images):
+    def add(images, cut=None):
         key = tuple(w.letters for w in images)
         if key not in seen:
             seen[key] = Automorphism(rank, tuple(images))
+            object.__setattr__(seen[key], "_cut", cut)
 
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
@@ -315,7 +318,10 @@ def whitehead_automorphisms(rank):
                         images[i - 1] = ~a * x
                     else:
                         images[i - 1] = ~a * x * a
-                add(images)
+                cut = {e * g}
+                cut.update(i for i, c in zip(others, choice) if c & 1)
+                cut.update(-i for i, c in zip(others, choice) if c & 2)
+                add(images, (frozenset(cut), e * g))
 
     return list(seen.values())
 

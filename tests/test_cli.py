@@ -104,6 +104,17 @@ def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_near_embedded_suite_lets_internal_failures_out(monkeypatch):
+    # the suite's generators are nonempty reduced words, so a failure while
+    # classifying them is a bug and fails the suite, not one skipped sample
+    def broken(gens):
+        raise RuntimeError("internal failure")
+
+    monkeypatch.setattr(cli, "factor_class", broken)
+    with pytest.raises(RuntimeError, match="internal failure"):
+        main(["verify", "--suite", "near-embedded"])
+
+
 def test_reports_deterministic(capsys):
     args = ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c",
             "--seed", "5"]

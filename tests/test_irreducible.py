@@ -16,8 +16,9 @@ from subfactor.irreducible import (
     translation_estimate,
     window_xsets,
 )
+from subfactor.cli import FILLING_PSI
 from subfactor.complex_cn import x_set
-from subfactor.stallings import apply_to_factor, factor_from_strs
+from subfactor.stallings import apply_to_factor, factor_class, factor_from_strs
 from subfactor.words import Automorphism
 
 
@@ -186,3 +187,44 @@ def test_validate_catches_mismatch():
                         B=factor_from_strs(3, ["b", "c"]), N=2)
     with pytest.raises(ValueError):
         spec.validate()
+
+
+def full_capped(auto, F, cap):
+    """Reference for _apply_capped: every image first, then the length and
+    core-size checks; also says which check stopped the orbit."""
+    gens = [auto(w) for w in F.gens()]
+    if sum(len(w) for w in gens) > 40 * cap:
+        return None, "length"
+    out = factor_class(gens)
+    if out.complexity() > cap:
+        return None, "core"
+    return out, None
+
+
+def test_apply_capped_matches_full_images():
+    # the shipped spec (N = 8) and the pingpong word f^N g^N: each of the 72
+    # candidate orbits gets the same class or cap at every step, 70 stop at
+    # the length check and 2 at the core-size check
+    A = factor_from_strs(3, ["a", "b"])
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
+    steps = irreducible._syllable_steps(
+        spec, syllable_reduce([("f", spec.N), ("g", spec.N)]))
+    candidates = irreducible._candidate_factors(3, 8, 80)
+    stops = []
+    for C in candidates:
+        cur = C
+        for _ in range(6):
+            for step in steps:
+                got = irreducible._apply_capped(step, cur, 400)
+                want, why = full_capped(step, cur, 400)
+                assert got == want
+                if got is None:
+                    break
+                cur = got
+            if got is None:
+                stops.append(why)
+                break
+            assert cur != C
+    assert len(candidates) == 72
+    assert stops.count("length") == 70 and stops.count("core") == 2

@@ -4,13 +4,17 @@ from pathlib import Path
 
 import pytest
 
+from subfactor import stallings
+from subfactor.cli import main
 from subfactor.stallings import (
     Expression,
+    FreeFactorResult,
     GraphBuilder,
     StallingsGraph,
     apply_to_factor,
     basis,
     canonical_code,
+    clear_reduction_cache,
     contained_up_to_conjugacy,
     factor_class,
     factor_from_strs,
@@ -436,3 +440,139 @@ def test_free_factor_whitehead_soundness_small():
             p, q = abelianize(x)
             if res.is_factor:
                 assert gcd(p, q) == 1, word_to_str(x)
+
+
+# choosing Whitehead moves by counting cut links: the edge-count formula
+# against folding, and the counting descent against the descent that folds
+# every candidate move
+
+
+def cut_from_images(phi):
+    """The cut (A, a) of a type II move, read back from its images."""
+    A, a = set(), None
+    for i, img in enumerate(phi.images, 1):
+        x = img.letters
+        if x[-1] != i:  # x -> ...x*a
+            A.add(i)
+            a = x[-1]
+        if x[0] != i:  # x -> a^-1*x...
+            A.add(-i)
+            a = -x[0]
+    A.add(a)
+    return frozenset(A), a
+
+
+def counted_size(core, A, a):
+    """|E| + #{v : L(v) meets A^-1 and is not inside it} - #{edges labelled
+    a}, with links as sets of signed letters."""
+    links = {}
+    for u, v, label in core.edges:
+        links.setdefault(u, set()).add(label)
+        links.setdefault(v, set()).add(-label)
+    inv = {-x for x in A}
+    cut = sum(1 for L in links.values() if L & inv and not L <= inv)
+    return (len(core.edges) + cut
+            - sum(1 for _, _, label in core.edges if label == abs(a)))
+
+
+def seeded_classes(rng, rank, count):
+    """Classes of random subgroups, half of them moved by a random
+    automorphism, and moved sub-roses and moved <x, [y, z] y>."""
+    out = []
+    while len(out) < count:
+        pick = len(out) % 3
+        if pick == 0:
+            gens = [random_word(rng, rank, 8) for _ in range(rng.randint(1, 3))]
+            if not any(gens):
+                continue
+            F = factor_class(gens)
+        elif pick == 1:
+            k = rng.randint(1, rank - 1)
+            F = factor_from_strs(rank, list("abcde"[:k]))
+        else:
+            F = factor_from_strs(rank, ["abABa"] if rank == 2
+                                 else ["a", "bcBCb"])
+        if pick or rng.random() < 0.5:
+            phi, _ = random_automorphism(rank, rng, length=rng.randint(1, 6))
+            F = apply_to_factor(phi, F)
+        out.append(F)
+    return out
+
+
+def test_recorded_cut_matches_images():
+    for rank in (2, 3, 4, 5):
+        moves = whitehead_type2(rank)
+        assert len(moves) == 2 * rank * (4 ** (rank - 1) - 1)
+        for phi in moves:
+            assert phi._cut == cut_from_images(phi)
+
+
+def test_cut_count_matches_folding():
+    # every type II move at ranks 2 to 4, sampled moves at rank 5; the
+    # seeded cores include moves whose image grows, keeps its size and
+    # shrinks, and images that fold further after the substitution
+    rng = random.Random(808)
+    seen = set()
+    for rank, cores, sample in ((2, 30, None), (3, 15, None), (4, 6, None),
+                                (5, 6, 150)):
+        moves = whitehead_type2(rank)
+        for F in seeded_classes(rng, rank, cores):
+            for phi in (rng.sample(moves, sample) if sample else moves):
+                got = apply_to_factor(phi, F).complexity()
+                assert got == counted_size(F.core, *phi._cut), (F, phi)
+                seen.add((got > F.complexity()) - (got < F.complexity()))
+    assert seen == {-1, 0, 1}
+
+
+def folding_descent(F):
+    """Reference: the descent that folds the image of every candidate move
+    and takes the first, in whitehead_type2 order, with fewer edges."""
+    obstruction = stallings._obstruction(F)
+    if obstruction is not None:
+        return FreeFactorResult(False, reason=obstruction)
+    chain = []
+    current = F
+    gens = list(F.gens())
+    while not current.is_sub_rose():
+        for phi in whitehead_type2(F.rank_ambient):
+            cand_gens = [phi(w) for w in gens]
+            cand = factor_class(cand_gens)
+            if cand.complexity() < current.complexity():
+                break
+        else:
+            return FreeFactorResult(False, reason=stallings.MINIMAL)
+        current, gens = cand, cand_gens
+        chain.append(phi)
+        if sum(len(w) for w in gens) > 2 * current.complexity() + 20:
+            gens = list(current.gens())
+    return FreeFactorResult(True, witness=stallings._finish(current, chain),
+                            reason=stallings.SUB_ROSE)
+
+
+def test_counting_descent_matches_folding_descent():
+    rng = random.Random(2024)
+    reasons = set()
+    for rank, count in ((2, 160), (3, 150), (4, 75), (5, 15)):
+        for F in seeded_classes(rng, rank, count):
+            got, want = stallings._reduce(F), folding_descent(F)
+            assert (got.is_factor, got.reason) == (want.is_factor, want.reason)
+            assert (got.witness is None) == (want.witness is None)
+            if got.witness is not None:
+                assert got.witness.images == want.witness.images
+            reasons.add(got.reason)
+    assert {stallings.SUB_ROSE, stallings.MINIMAL} <= reasons
+
+
+def test_cut_count_check_can_fail(monkeypatch):
+    # one more edge per label puts every prediction one edge off, so the
+    # fold of the first move taken disagrees, and the failure leaves main
+    # as a bug instead of exiting 2
+    links = stallings._links
+    monkeypatch.setattr(stallings, "_links", lambda core: (
+        links(core)[0], [k + 1 for k in links(core)[1]]))
+    clear_reduction_cache()
+    try:
+        with pytest.raises(RuntimeError, match="cut count"):
+            main(["classify", "--rank", "3", "--a", "ab", "--b", "c"])
+    finally:
+        clear_reduction_cache()
