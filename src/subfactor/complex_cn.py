@@ -13,16 +13,13 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .projection import (
-    colors_meet,
+    disjointness_obstruction,
     factor_distance,
     find_disjoint_conjugator,
     project_factor,
+    split_by,
 )
-from .stallings import (
-    contained_up_to_conjugacy,
-    factor_class,
-    is_free_factor,
-)
+from .stallings import factor_class, is_free_factor
 from .words import (
     Word,
     abelianize,
@@ -38,16 +35,9 @@ def is_primitive(w):
         raise ValueError("trivial word")
     if not is_cyclically_reduced(w):
         raise ValueError("expect a cyclically reduced word")
-    if _gcd_vec(abelianize(w)) != 1:
+    if gcd(*abelianize(w)) != 1:
         return False
     return is_free_factor(factor_class([w])).is_factor
-
-
-def _gcd_vec(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g
 
 
 def cvertex(w):
@@ -81,21 +71,16 @@ def is_cn_edge(u, v, conj_len=6):
         raise ValueError("same class")
     if u.rank_ambient != v.rank_ambient:
         raise ValueError("ambient rank mismatch")
-    n = u.rank_ambient
-    key = (n, conj_len) + tuple(sorted((u.code, v.code)))
+    key = (u.rank_ambient, conj_len) + tuple(sorted((u.code, v.code)))
     hit = _edge_cache.get(key)
     if hit is not None:
         return hit
-    if 2 > n:
-        res = EdgeResult(False, True)
-    elif colors_meet(u, v):
+    if disjointness_obstruction(u, v) is not None:
         res = EdgeResult(False, True)
     else:
-        got = find_disjoint_conjugator(u, v, max_conj_len=conj_len)
-        if got is not None:
-            res = EdgeResult(True, True, got[0])
-        else:
-            res = EdgeResult(False, False)
+        c = find_disjoint_conjugator(u, v, max_conj_len=conj_len)
+        # a conjugator certifies the edge; without one only the budget ran out
+        res = EdgeResult(c is not None, c is not None, c)
     _edge_cache[key] = res
     return res
 
@@ -110,7 +95,7 @@ def enumerate_cvertices(rank, max_len, cap=None):
     seen = set()
     out = []
     for w in cyclic_words(rank, max_len):
-        if _gcd_vec(abelianize(w)) != 1:
+        if gcd(*abelianize(w)) != 1:
             continue
         F = factor_class([w])
         if F.code in seen:
@@ -160,30 +145,18 @@ class XSet:
     def vertices(self):
         return [v for v, _ in self.members]
 
-    def diameter_upper(self, hub=None):
+    def diameter_upper(self):
         """Upper bound on the pairwise distance of members: every member is
-        adjacent to any rank-1 factor of A (its disjointness conjugator is
-        reused as the edge certificate), so the diameter is at most 2."""
+        adjacent to the rank-1 factor of A's first generator (its
+        disjointness conjugator is reused as the edge certificate), so the
+        diameter is at most 2."""
         if len(self.members) < 2:
             return 0
-        if hub is None:
-            hub = factor_class([self.factor.gens()[0]])
+        hub = factor_class([self.factor.gens()[0]])
         for v, c in self.members:
-            if not _hub_edge_ok(hub, self.factor, v, c):
+            if split_by(hub, v, c) is None:
                 return None
         return 2 if len({v.code for v, _ in self.members}) > 1 else 0
-
-
-def _hub_edge_ok(hub, A, v, c):
-    """Certify hub -- v adjacency: hub lies in A and A * v^c is free, so
-    <hub, v^c> spans a rank-2 free factor."""
-    gens = list(hub.gens()) + [c * w * ~c for w in v.gens()]
-    H = factor_class(gens)
-    if H.rank != 2:
-        return False
-    if H.rank == H.rank_ambient:
-        return True
-    return is_free_factor(H).is_factor
 
 
 def x_set(A, s=8, cap=24, conj_len=4):
@@ -205,20 +178,17 @@ def x_set(A, s=8, cap=24, conj_len=4):
         fast = None
     members = []
     for w in cyclic_words(n, s):
-        if _gcd_vec(abelianize(w)) != 1:
+        if gcd(*abelianize(w)) != 1:
             continue
         if fast is not None and not fast(w):
             continue
         F = factor_class([w])
         if any(F == v for v, _ in members):
             continue
-        if fast is None:
-            if contained_up_to_conjugacy(F, A) or colors_meet(A, F):
-                continue
-        got = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
-        if got is None:
+        c = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
+        if c is None:
             continue
-        members.append((F, got[0]))
+        members.append((F, c))
         if len(members) >= cap:
             return XSet(A, s, members)
     return XSet(A, s, members)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .complex_cn import XSet, corank1_tester, enumerate_cvertices, x_set
 from .projection import (
+    disjointness_obstruction,
     factor_distance,
     farey_distance,
     find_disjoint_conjugator,
@@ -87,10 +88,9 @@ def _disjoint_from(A, w, fast_test, conj_len):
     if fast_test is not None:
         return fast_test(w)
     F = factor_class([w])
-    if not is_free_factor(F).is_factor:
+    if not is_free_factor(F).is_factor or disjointness_obstruction(A, F):
         return False
-    got = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
-    if got is not None:
+    if find_disjoint_conjugator(A, F, max_conj_len=conj_len) is not None:
         return True
     return None
 

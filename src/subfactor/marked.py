@@ -9,6 +9,7 @@ JSON (identity on tree edges) is one gauge of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .stallings import (
     Expression,
@@ -109,6 +110,11 @@ class MarkedGraph:
         if not is_basis(self.loop_basis()):
             raise MarkingError("marking is not an isomorphism to the free group")
         return True
+
+    @cached_property
+    def translator(self):
+        """The PathTranslator of this graph, built once."""
+        return PathTranslator(self)
 
     def to_json(self):
         tree, _, _ = self.tree_data()
@@ -259,11 +265,11 @@ class Immersion:
             (self.eids[label - 1], sign) for label, sign in path)
 
 
-def cover_core(A, G, translator=None):
+def cover_core(A, G):
     """Core of the cover of G corresponding to the conjugacy class of A."""
     if A.rank_ambient != G.rank:
         raise ValueError("ambient rank mismatch")
-    t = translator if translator is not None else PathTranslator(G)
+    t = G.translator
     eids = G.eids()
     K = len(eids)
     index = {e: i + 1 for i, e in enumerate(eids)}

@@ -22,6 +22,7 @@ from .marked import (
 )
 from .stallings import (
     apply_to_factor,
+    class_frame,
     contained_up_to_conjugacy,
     factor_class,
     find,
@@ -48,22 +49,28 @@ def primitive_vector(F):
     return (p, q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _dist_to_infinity(r, s):
-    """Distance from (r, s) to (1, 0) in the Farey graph, by branching
-    over the two nearest-integer continued fraction steps."""
-    if s < 0:
-        r, s = -r, -s
+    """Distance from r/s to 1/0 in the Farey graph, in one pass over the
+    partial quotients a_1..a_m of the fractional part of r/s
+    (Beardon-Hockman-Short, Geodesic continued fractions, Michigan Math. J.
+    2012): F_i = min(1 + F_(i+1), a_i + F_(i+2)) with F_(m+1) = 1 and
+    F_(m+2) = 0, and the distance is F_1.  So an integer is at distance 1,
+    and 1/0 at distance 0."""
     if s == 0:
         return 0
-    if s == 1:
-        return 1
-    best = None
-    for n in {r // s, -((-r) // s)}:
-        d = 1 + _dist_to_infinity(s, r - n * s)
-        if best is None or d < best:
-            best = d
-    return best
+    if s < 0:
+        r, s = -r, -s
+    quotients = []
+    r %= s
+    while r:
+        a, rest = divmod(s, r)
+        quotients.append(a)
+        s, r = r, rest
+    f1, f2 = 1, 0  # F_(i+1), F_(i+2)
+    for a in reversed(quotients):
+        f1, f2 = min(1 + f1, a + f2), f1
+    return f1
 
 
 def farey_distance(v, w):
@@ -98,42 +105,6 @@ def _xgcd(a, b):
 
 def farey_distance_classes(F1, F2):
     return farey_distance(primitive_vector(F1), primitive_vector(F2))
-
-
-def farey_diameter(factors):
-    """Diameter of a set of rank-1 factors of F_2 in the Farey graph."""
-    vecs = [primitive_vector(F) for F in factors]
-    best = 0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            best = max(best, farey_distance(vecs[i], vecs[j]))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# mod-2 homology colors
-
-
-def mod2_color(F):
-    """The subspace of H_1(F_n; Z/2) spanned by F, as canonical row masks."""
-    return mod2_span(F.gens())
-
-
-def colors_meet(A, B):
-    """Whether the mod-2 colors intersect nontrivially.  Disjoint factors
-    always have transverse colors, so a nontrivial intersection rules
-    disjointness out."""
-    ca, cb = mod2_color(A), mod2_color(B)
-    joint = mod2_span(
-        [_mask_word(A.rank_ambient, m) for m in ca]
-        + [_mask_word(A.rank_ambient, m) for m in cb]
-    )
-    return len(ca) + len(cb) > len(joint)
-
-
-def _mask_word(rank, mask):
-    letters = [i + 1 for i in range(rank) if mask >> i & 1]
-    return Word(rank, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -286,79 +257,92 @@ def joint_embedding(A, B, G):
     return witness
 
 
-def splitting_witness(A, B, conj, comp_words):
-    """Witness graph for an explicit splitting F_n = A * B^conj * C: petals
-    for A and C at one vertex, petals for B^conj at another, joined by an
-    edge."""
-    n = A.rank_ambient
-    a_words = A.gens()
-    b_words = [conj * w * ~conj for w in B.gens()]
-    edges = []
-    marking = {}
-    eid = 1
-    a_eids, b_eids = [], []
-    for w in a_words:
-        edges.append((eid, 0, 0))
-        marking[eid] = w
-        a_eids.append(eid)
-        eid += 1
-    for w in comp_words:
-        edges.append((eid, 0, 0))
-        marking[eid] = w
-        eid += 1
-    for w in b_words:
-        edges.append((eid, 1, 1))
-        marking[eid] = w
-        b_eids.append(eid)
-        eid += 1
-    edges.append((eid, 0, 1))
-    marking[eid] = Word.identity(n)
-    W = MarkedGraph(n, tuple(edges), marking)
-    witness = DisjointWitness(W, frozenset(a_eids), frozenset(b_eids))
-    witness.verify(A, B)
-    return witness
+# ---------------------------------------------------------------------------
+# disjointness: theorems first, then one search
 
 
-def find_disjoint_conjugator(A, B, max_conj_len=4):
-    """Search for a conjugator c with <A, B^c> = A * B^c a free factor.
+def colors_meet(A, B):
+    """Whether the mod-2 colors, the spans of the abelianized generators in
+    H_1(F_n; Z/2), intersect nontrivially."""
+    return (len(mod2_span(A.gens())) + len(mod2_span(B.gens()))
+            > len(mod2_span([*A.gens(), *B.gens()])))
 
-    Because free groups are Hopfian, rank(<A, B^c>) = rank A + rank B forces
-    the product to be free, and a free factor containing both then splits as
-    required.  Returns (c, complement_basis) or None.
-    """
-    n = A.rank_ambient
-    target = A.rank + B.rank
-    if target > n:
-        return None
-    for c in _short_words(n, max_conj_len):
-        gens = list(A.gens()) + [c * w * ~c for w in B.gens()]
-        H = factor_class(gens)
-        if H.rank != target:
-            continue
-        if H.rank == n:
-            if H != factor_class([Word(n, (i,)) for i in range(1, n + 1)]):
-                continue
-            comp = []
-        else:
-            res = is_free_factor(H)
-            if not res.is_factor:
-                continue
-            inv = res.witness_inverse
-            comp = [inv.images[i] for i in range(H.rank, n)]
-        return c, comp
+
+def disjointness_obstruction(A, B):
+    """The theorem that rules out a splitting F_n = A * B^c * C for every c,
+    or None.  In such a splitting the ranks of A and B add up to at most n,
+    and H_1(A * B^c; Z/2) is a summand of H_1(F_n; Z/2), so the mod-2
+    colors of A and B are independent."""
+    if A.rank + B.rank > A.rank_ambient:
+        return "rank sum exceeds ambient rank"
+    if colors_meet(A, B):
+        return "mod-2 colors intersect"
     return None
 
 
-def disjoint_by_conjugation(A, B, max_conj_len=4):
-    """DisjointWitness built from find_disjoint_conjugator, or None."""
-    got = find_disjoint_conjugator(A, B, max_conj_len)
-    if got is None:
+def _joined(A, B, c):
+    return [*A.gens(), *(c * w * ~c for w in B.gens())]
+
+
+def split_by(A, B, c):
+    """The free-factor verdict on <A, B^c> when it is a free factor A * B^c,
+    else None.  Rank rank A + rank B makes <A, B^c> the free product, since
+    free groups are Hopfian."""
+    H = factor_class(_joined(A, B, c))
+    if H.rank != A.rank + B.rank:
         return None
-    c, comp = got
+    res = is_free_factor(H)
+    return res if res.is_factor else None
+
+
+def find_disjoint_conjugator(A, B, max_conj_len=4):
+    """A conjugator c of length <= max_conj_len that splits A and B (see
+    split_by), or None.  disjointness_obstruction is checked first.  One
+    direction suffices: <B, A^c> is conjugate to <A, B^(c^-1)>, and the
+    candidates are closed under inversion."""
+    if disjointness_obstruction(A, B) is not None:
+        return None
+    for c in _short_words(A.rank_ambient, max_conj_len):
+        if split_by(A, B, c) is not None:
+            return c
+    return None
+
+
+def splitting_witness(A, B, c):
+    """Witness graph for the splitting F_n = A * B^c * C that c gives:
+    petals for A and C at one vertex, petals for B^c at another, joined by
+    an edge.
+
+    The inverse of the reduction witness of H = <A, B^c> carries the
+    standard sub-rose onto a conjugate e^-1 H e, and e is read off the
+    canonical frames of the two; its remaining images, conjugated by e,
+    span the complement C.  A witness that fails its check is a bug and
+    raises RuntimeError."""
+    res = split_by(A, B, c)
+    if res is None:
+        raise ValueError("the conjugator does not split the pair")
+    n = A.rank_ambient
+    k = A.rank + B.rank
+    gens = _joined(A, B, c)
+    inv = res.witness_inverse.images
+    e = class_frame(gens) * ~class_frame(inv[:k])
+    comp = [e * w * ~e for w in inv[k:]]
+    # petals for A and C at vertex 0, for B^c at vertex 1, then the bridge
+    petals = ([(0, w) for w in gens[:A.rank] + comp]
+              + [(1, w) for w in gens[A.rank:]])
+    bridge = len(petals) + 1
+    edges = [(eid, v, v) for eid, (v, _) in enumerate(petals, 1)]
+    edges.append((bridge, 0, 1))
+    marking = {eid: w for eid, (_, w) in enumerate(petals, 1)}
+    marking[bridge] = Word.identity(n)
+    witness = DisjointWitness(MarkedGraph(n, tuple(edges), marking),
+                              frozenset(range(1, A.rank + 1)),
+                              frozenset(range(bridge - B.rank, bridge)))
     try:
-        return splitting_witness(A, B, c, comp)
-    except MarkingError:
-        return None
+        witness.verify(A, B)
+    except MarkingError as err:
+        raise RuntimeError(f"splitting witness fails its check: {err}") from err
+    return witness
 
 
 def _short_words(rank, max_len):
@@ -448,12 +432,9 @@ def project_factor(A, B, samples=8, seed=0):
     """pi_A(B): union of pi_A(G) over sampled marked graphs where B is
     embedded.  Empty when B does not meet A: containment, or a disjointness
     certificate found at a small budget (such classes fail to project)."""
-    if contained_up_to_conjugacy(A, B):
+    if (contained_up_to_conjugacy(A, B)
+            or find_disjoint_conjugator(A, B, max_conj_len=2) is not None):
         return set()
-    if A.rank + B.rank <= A.rank_ambient:
-        if (find_disjoint_conjugator(A, B, max_conj_len=2) is not None
-                or find_disjoint_conjugator(B, A, max_conj_len=2) is not None):
-            return set()
     out = set()
     for G in sample_graphs_with_embedded(B, samples=samples, seed=seed):
         imm = cover_core(B, G)
@@ -537,9 +518,6 @@ def factor_distance(A, X_set, Y_set):
     both = list(X_set) + list(Y_set)
     if not both:
         raise ValueError("empty projection sets")
-    if A.rank == 2:
-        d = farey_diameter(both)
-        return (d, d)
     lo, hi = 0, 0
     for i in range(len(both)):
         for j in range(i + 1, len(both)):
@@ -577,25 +555,19 @@ def classify_pair(A, B, conj_budget=4, graph_samples=6, seed=0):
     conjugacy), disjoint (with a verified witness), or overlapping."""
     if A.rank_ambient != B.rank_ambient:
         raise ValueError("ambient rank mismatch")
-    n = A.rank_ambient
     if A == B:
         return Classification("contained_in", True, "equal classes")
     if contained_up_to_conjugacy(A, B):
         return Classification("contained_in", True, "A in B")
     if contained_up_to_conjugacy(B, A):
         return Classification("contains", True, "B in A")
-    # certified refutations of disjointness
-    if A.rank + B.rank > n:
-        return Classification("overlap", True, "rank sum exceeds ambient rank")
-    if colors_meet(A, B):
-        return Classification("overlap", True, "mod-2 colors intersect")
-    w = disjoint_by_conjugation(A, B, max_conj_len=conj_budget)
-    if w is None:
-        w = disjoint_by_conjugation(B, A, max_conj_len=conj_budget)
-        if w is not None:
-            w = DisjointWitness(w.graph, w.b_eids, w.a_eids)
-    if w is not None:
-        return Classification("disjoint", True, "splitting found", w)
+    reason = disjointness_obstruction(A, B)
+    if reason is not None:
+        return Classification("overlap", True, reason)
+    c = find_disjoint_conjugator(A, B, max_conj_len=conj_budget)
+    if c is not None:
+        return Classification("disjoint", True, "splitting found",
+                              splitting_witness(A, B, c))
     # graph-based search through jointly embedded wedges
     small, big = (A, B) if A.rank <= B.rank else (B, A)
     for G in sample_graphs_with_embedded(big, samples=graph_samples, seed=seed):

@@ -749,9 +749,6 @@ def is_free_factor(F):
     + #{v : L(v) & A^-1 is neither empty nor L(v)}.  Only that move is
     folded, and its fold checks the count.
     """
-    if isinstance(F, StallingsGraph):
-        core = F.without_basepoint()
-        F = FactorClass(F.rank, core, core.graph_rank())
     if not F.core.edges:
         raise TrivialSubgroupError("trivial subgroup")
     key = (F.rank_ambient, F.code)

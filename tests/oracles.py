@@ -1,5 +1,8 @@
 """Independent checks that several test modules share: subgroup membership
-read off a folded graph, and Farey adjacency of slopes."""
+read off a folded graph, Farey adjacency of slopes, the Farey distance by
+recursion, and the conjugator search in both directions."""
+
+from functools import lru_cache
 
 
 def contains_element(graph, w):
@@ -21,3 +24,47 @@ def farey_adjacent(v, w):
     p, q = v
     r, s = w
     return abs(p * s - q * r) == 1
+
+
+@lru_cache(maxsize=None)
+def dist_to_infinity(r, s):
+    """Distance from (r, s) to (1, 0) in the Farey graph, by branching
+    over the two nearest-integer continued fraction steps.  It recurses
+    once per step, so it suits small entries only."""
+    if s < 0:
+        r, s = -r, -s
+    if s == 0:
+        return 0
+    if s == 1:
+        return 1
+    best = None
+    for n in {r // s, -((-r) // s)}:
+        d = 1 + dist_to_infinity(s, r - n * s)
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def splits_both_ways(A, B, max_conj_len):
+    """Whether some conjugator of length <= max_conj_len splits A and B,
+    searched in both directions: <A, B^c> and then <B, A^c> a free factor
+    of rank rank A + rank B, with rank n compared to F_n itself."""
+    from subfactor.projection import _short_words
+    from subfactor.stallings import factor_class, is_free_factor
+    from subfactor.words import Word
+
+    n = A.rank_ambient
+    if A.rank + B.rank > n:
+        return False
+    whole = factor_class([Word(n, (i,)) for i in range(1, n + 1)])
+    for X, Y in ((A, B), (B, A)):
+        for c in _short_words(n, max_conj_len):
+            H = factor_class(list(X.gens()) + [c * w * ~c for w in Y.gens()])
+            if H.rank != X.rank + Y.rank:
+                continue
+            if H.rank == n:
+                if H == whole:
+                    return True
+            elif is_free_factor(H).is_factor:
+                return True
+    return False

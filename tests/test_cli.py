@@ -2,16 +2,16 @@ import json
 
 import pytest
 
-from subfactor import cli
-from subfactor.cli import load_cache, main
-from subfactor.projection import Classification
+from subfactor import cli, projection
+from subfactor.cli import CACHE_ENV, load_cache, main
+from subfactor.projection import Classification, classify_pair
 from subfactor.stallings import (
     _reduction_cache,
     clear_reduction_cache,
     factor_from_strs,
     is_free_factor,
 )
-from subfactor.words import Automorphism, word_to_str
+from subfactor.words import Automorphism, Word, word_to_str
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +102,24 @@ def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="compose to the identity"):
         main(["project", "--rank", "3", "--a", "a,b", "--b", "ab,c"])
     assert capsys.readouterr().err == ""
+
+
+def test_split_in_another_frame(capsys, monkeypatch):
+    # the reduction witness of <c, B> spans a conjugate of it, not <c, B>
+    # itself; a complement read off its images without moving it into the
+    # frame of <c, B> fails the certificate check, and that failure is a
+    # bug that leaves main
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    argv = ["classify", "--rank", "3", "--a", "c", "--b", "BBcBac"]
+    A, B = factor_from_strs(3, ["c"]), factor_from_strs(3, ["BBcBac"])
+    res = classify_pair(A, B)
+    assert (res.kind, res.detail) == ("disjoint", "splitting found")
+    assert res.witness.verify(A, B)
+    clear_reduction_cache()
+    monkeypatch.setattr(projection, "class_frame",
+                        lambda gens: Word.identity(3))
+    with pytest.raises(RuntimeError, match="splitting witness fails"):
+        main(argv)
 
 
 def test_near_embedded_suite_lets_internal_failures_out(monkeypatch):

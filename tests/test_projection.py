@@ -4,8 +4,10 @@ from collections import deque
 from math import gcd
 from pathlib import Path
 
+from subfactor import cli
 from subfactor.marked import rose, transformed
 from subfactor.projection import (
+    _dist_to_infinity,
     behrstock_check,
     classify_pair,
     colors_meet,
@@ -14,22 +16,27 @@ from subfactor.projection import (
     farey_distance_classes,
     find_disjoint_conjugator,
     joint_embedding,
-    mod2_color,
     near_embedding,
     omega_data,
     primitive_vector,
     project_factor,
     project_graph,
+    splitting_witness,
 )
 from subfactor.stallings import (
     apply_to_factor,
     factor_from_strs,
+    mod2_span,
     random_automorphism,
 )
 from subfactor.words import word_from_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import farey_adjacent  # noqa: E402
+from oracles import (  # noqa: E402
+    dist_to_infinity,
+    farey_adjacent,
+    splits_both_ways,
+)
 
 
 def w(text, rank=2):
@@ -100,6 +107,54 @@ def test_farey_against_bfs_oracle():
         assert farey_distance(v, u) == expect
 
 
+def test_farey_one_pass_matches_recursion():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 3000:
+        r, s = rng.randint(-300, 300), rng.randint(-300, 300)
+        if (r, s) != (0, 0) and gcd(r, s) == 1:
+            assert _dist_to_infinity(r, s) == dist_to_infinity(r, s), (r, s)
+            checked += 1
+
+
+def test_farey_fibonacci_pair_beyond_the_recursion_limit():
+    # (F_2101, F_2100) has 2,100 partial quotients, one recursion level
+    # each; the recursive oracle, given a large enough stack, says 1050
+    a, b = 0, 1
+    for _ in range(2100):
+        a, b = b, a + b
+    assert farey_distance((1, 0), (b, a)) == 1050
+    assert farey_distance((b, a), (1, 0)) == 1050
+
+
+def test_farey_large_pairs_symmetric_and_invariant():
+    rng = random.Random(37)
+
+    def slope():
+        while True:
+            p, q = (rng.randrange(10 ** (k - 1), 10 ** k)
+                    for k in (rng.randint(20, 40), rng.randint(20, 40)))
+            if gcd(p, q) == 1:
+                return (p * rng.choice((1, -1)), q)
+
+    for _ in range(300):
+        v, u = slope(), slope()
+        # a random element of SL_2(Z), as a product of elementary matrices
+        (a, b), (c, d) = (1, 0), (0, 1)
+        for _ in range(6):
+            k = rng.randint(-5, 5)
+            if rng.random() < 0.5:
+                (a, b), (c, d) = (a + k * c, b + k * d), (c, d)
+            else:
+                (a, b), (c, d) = (a, b), (c + k * a, d + k * b)
+        d_vu = farey_distance(v, u)
+        assert d_vu >= 1
+        assert farey_distance(u, v) == d_vu
+        assert farey_distance((a * v[0] + b * v[1], c * v[0] + d * v[1]),
+                              (a * u[0] + b * u[1], c * u[0] + d * u[1])) \
+            == d_vu
+
+
 def test_primitive_vector_and_class_distance():
     assert primitive_vector(factor_from_strs(2, ["a"])) == (1, 0)
     assert primitive_vector(factor_from_strs(2, ["ab"])) == (1, 1)
@@ -114,8 +169,8 @@ def test_mod2_colors():
     bab = factor_from_strs(2, ["bab"])
     assert not colors_meet(a, b)
     assert colors_meet(a, bab)  # bab abelianizes to a mod 2
-    assert mod2_color(factor_from_strs(2, ["ab", "b"])) == mod2_color(
-        factor_from_strs(2, ["a", "b"]))
+    assert mod2_span(factor_from_strs(2, ["ab", "b"]).gens()) == mod2_span(
+        factor_from_strs(2, ["a", "b"]).gens())
 
 
 def test_omega_and_near_embedding():
@@ -141,11 +196,39 @@ def test_find_disjoint_conjugator():
     B = factor_from_strs(3, ["c"])
     got = find_disjoint_conjugator(A, B)
     assert got is not None
-    # an overlapping pair has none at any budget (rank obstruction caught
-    # by the caller; here colors obstruct)
+    # an overlapping pair has none at any budget (the obstructions are
+    # checked first; here colors obstruct)
     assert find_disjoint_conjugator(
         factor_from_strs(3, ["a"]), factor_from_strs(3, ["bab"]),
         max_conj_len=2) is None
+
+
+def _seeded_pairs(n, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield cli._random_sub(rng, n), cli._random_sub(rng, n)
+
+
+def test_every_found_conjugator_gives_a_verifying_witness():
+    # one of these conjugators needs its complement moved into the frame of
+    # <A, B^c>; splitting_witness raises RuntimeError if a check fails
+    found = 0
+    for A, B in _seeded_pairs(3, 300, 1):
+        c = find_disjoint_conjugator(A, B)
+        if c is not None:
+            assert splitting_witness(A, B, c).verify(A, B)
+            found += 1
+    assert found > 100
+
+
+def test_one_direction_search_matches_both_directions():
+    for n, budget, seed in ((3, 3, 2), (4, 2, 3)):
+        outcomes = set()
+        for A, B in _seeded_pairs(n, 100, seed):
+            found = find_disjoint_conjugator(A, B, budget) is not None
+            assert found == splits_both_ways(A, B, budget)
+            outcomes.add(found)
+        assert outcomes == {True, False}
 
 
 def test_classify_trichotomy_basics():

@@ -26,6 +26,9 @@ REPORTS = {
     "distance": ["distance", "--rank", "3", "--a", "a,b", "--x", "ab,c",
                  "--y", "ba,cb"],
     "farey": ["farey", "--u", "a", "--v", "abb"],
+    # a splitting whose complement lies in another conjugacy frame
+    "classify-split-frame": ["classify", "--rank", "3", "--a", "c",
+                             "--b", "BBcBac"],
 }
 for suite in ("trichotomy", "xset", "joint-embedding", "near-embedded",
               "equivariance", "diameter", "behrstock", "progress"):
