@@ -214,11 +214,16 @@ class PingPongSpec:
         return self._once("_inverse_" + sym, lambda spec: invert_automorphism(
             getattr(spec, sym)))
 
+    def power(self, sym, e):
+        """sym^e for sym "f" or "g", through the exact inverse when e < 0,
+        computed on first use."""
+        return self._once(f"_{sym}^{e}", lambda spec: (
+            getattr(spec, sym) if e > 0 else spec.inverse(sym)) ** abs(e))
+
     def shifts(self):
-        """(f^(N-k), f^-k) for k = N//2, computed on first use."""
+        """(f^(N-k), f^-k) for k = N//2."""
         k = self.N // 2
-        return self._once("_shifts", lambda spec: (
-            spec.f ** (spec.N - k), spec.inverse("f") ** k))
+        return self.power("f", self.N - k), self.power("f", -k)
 
     def growth_table(self):
         """The projection gaps of _growth_table, computed on first use."""
@@ -243,15 +248,29 @@ class IrreducibilityEvidence:
     candidates: int = 0
 
 
-def _apply_capped(auto, F, cap):
-    """Apply an automorphism to a factor class, giving up once the images
-    pass 40 * cap letters or the image core has more than cap edges."""
-    gens, size = [], 0
+def _apply_capped(step, F, cap):
+    """Apply a step (chain, bound) of _syllable_steps to a factor class,
+    giving up once the images pass 40 * cap letters or the image core has
+    more than cap edges.
+
+    The length guard is exact, yet it stops inside the last automorphism
+    phi of the chain once a prefix image passes the letters left plus
+    bound = Lip(phi) * floor(Lip(phi^-1) / 2): by Cooper's bounded
+    cancellation lemma (D. Cooper, J. Algebra 111, 1987), |phi(ps)| >=
+    |phi(p)| - bound for every reduced word ps.  In the Cayley tree, phi^-1
+    takes the geodesic [1, phi(ps)] to a chain of steps at most Lip(phi^-1)
+    long covering [1, ps], so phi(p) lies within bound of [1, phi(ps)]."""
+    (*head, last), bound = step
+    left = 40 * cap
+    gens = []
     for w in F.gens():
-        gens.append(auto(w))
-        size += len(gens[-1])
-        if size > 40 * cap:
+        for phi in head:
+            w = phi(w)
+        w = last(w, stop=left + bound)
+        if w is None or len(w) > left:
             return None
+        left -= len(w)
+        gens.append(w)
     out = factor_class(gens)
     if out.complexity() > cap:
         return None
@@ -265,7 +284,12 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
     orbits followed with a growth cap (an orbit abandoned at the cap was
     growing, which is itself evidence of no return).  Alternation of
     syllables is required, otherwise the word is conjugate to a power of
-    one letter.  Syllables act left to right on classes."""
+    one letter.  Syllables act left to right on classes.
+
+    The cap is exact though images stop early: a prefix image under phi
+    past the letters left plus Lip(phi) * floor(Lip(phi^-1) / 2) puts the
+    whole image past the cap (Cooper, J. Algebra 111, 1987: phi^-1 takes
+    [1, phi(uv)] to steps at most Lip(phi^-1) long covering [1, uv])."""
     syl = syllable_reduce(
         [(sym, e * spec.N) for sym, e in syllables]
     )
@@ -304,9 +328,20 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
 
 
 def _syllable_steps(spec, syl):
-    """One exact automorphism per syllable (inverses computed exactly)."""
-    return [(getattr(spec, sym) if e > 0 else spec.inverse(sym)) ** abs(e)
-            for sym, e in syl]
+    """Each syllable sym^e as (chain, bound): automorphisms to apply in
+    order and the cancellation bound of the last.  With psi known, g^e runs
+    as psi^-1, f^e, psi and no power or inverse of g is built; otherwise
+    the chain is sym^e alone, bounded through its exact inverse sym^-e."""
+    steps = []
+    for sym, e in syl:
+        if sym == "g" and spec.psi is not None:
+            chain = (spec.psi_inv, spec.power("f", e), spec.psi)
+            inverse = spec.psi_inv
+        else:
+            chain = (spec.power(sym, e),)
+            inverse = spec.power(sym, -e)
+        steps.append((chain, chain[-1].cancellation_bound(inverse)))
+    return steps
 
 
 def _candidate_factors(n, core_bound, cap):
@@ -415,8 +450,9 @@ def _windows(spec):
         return ((apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)),
                 (apply_to_factor(fmk, spec.B), spec.A,
                  apply_to_factor(fk, spec.B)))
-    return ((spec.A, spec.B, apply_to_factor(spec.g ** spec.N, spec.A)),
-            (spec.B, spec.A, apply_to_factor(spec.f ** spec.N, spec.B)))
+    gN, fN = spec.power("g", spec.N), spec.power("f", spec.N)
+    return ((spec.A, spec.B, apply_to_factor(gN, spec.A)),
+            (spec.B, spec.A, apply_to_factor(fN, spec.B)))
 
 
 def translate_xset(xs, h):

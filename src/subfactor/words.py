@@ -38,9 +38,10 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def _join(pieces):
+def _join(pieces, stop=None):
     """Concatenate freely reduced letter tuples, cancelling only where one
-    piece meets the next; the result is freely reduced."""
+    piece meets the next; the result is freely reduced.  Given a stop
+    length, None as soon as the reduced prefix is longer than stop."""
     out = []
     pop = out.pop
     for p in pieces:
@@ -50,6 +51,8 @@ def _join(pieces):
             pop()
             k += 1
         out.extend(p[k:] if k else p)
+        if stop is not None and len(out) > stop:
+            return None
     return tuple(out)
 
 
@@ -182,15 +185,29 @@ def cyclic_words(rank, max_len):
 
     The least letter of such a word, -m for its largest generator m, leads
     it, so only words starting with -m and using generators up to m are
-    generated."""
+    generated.  Any other rotation that is smaller must also start with -m,
+    so only the rotations where -m recurs in the word, or occurs in its
+    inverse (where m occurs in the word), are compared."""
     for length in range(1, max_len + 1):
         for top in range(1, rank + 1):
             alphabet = [x for s in range(1, top + 1) for x in (s, -s)]
             for letters in _reduced_extensions((-top,), alphabet, length):
-                if length >= 2 and letters[0] == -letters[-1]:
-                    continue
-                if _cyclic_normal(letters) == letters:
+                if letters[-1] != top and _is_least_rotation(letters):
                     yield _word(rank, letters)
+
+
+def _is_least_rotation(letters):
+    """No rotation of letters or of its inverse is smaller (see
+    cyclic_words); letters leads with lo and does not end with -lo."""
+    lo = letters[0]
+    inverse = (_inverse_letters(letters),) if -lo in letters else ()
+    for base in (letters,) + inverse:
+        i = 0
+        for _ in range(base.count(lo) - (base is letters)):
+            i = base.index(lo, i + 1)
+            if base[i:] + base[:i] < letters:
+                return False
+    return True
 
 
 def _reduced_extensions(prefix, alphabet, length):
@@ -202,19 +219,6 @@ def _reduced_extensions(prefix, alphabet, length):
     for x in alphabet:
         if x != -prefix[-1]:
             yield from _reduced_extensions(prefix + (x,), alphabet, length)
-
-
-def _cyclic_normal(letters):
-    """Least rotation among the word and its inverse (class representative)."""
-    n = len(letters)
-    inv = _inverse_letters(letters)
-    best = letters
-    for base in (letters, inv):
-        for i in range(n):
-            rot = base[i:] + base[:i]
-            if rot < best:
-                best = rot
-    return best
 
 
 def abelianize(w):
@@ -251,14 +255,24 @@ class Automorphism:
     def from_strs(rank, texts):
         return Automorphism(rank, tuple(word_from_str(rank, t) for t in texts))
 
-    def __call__(self, w):
+    def __call__(self, w, stop=None):
+        """The image of w; given a stop length, None as soon as the image
+        of a prefix of w is longer than stop."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
         table = self.__dict__.get("_table")
         if table is None:
             table = _image_table(self.images)
             object.__setattr__(self, "_table", table)
-        return _word(self.rank, _join(map(table.__getitem__, w.letters)))
+        letters = _join(map(table.__getitem__, w.letters), stop)
+        return None if letters is None else _word(self.rank, letters)
+
+    def cancellation_bound(self, inverse):
+        """Cooper's bounded cancellation constant, given the inverse:
+        Lip(phi) * floor(Lip(phi^-1) / 2), where Lip is the longest image of
+        a generator (D. Cooper, J. Algebra 111, 1987)."""
+        return (max(map(len, self.images))
+                * (max(map(len, inverse.images)) // 2))
 
     def __mul__(self, other):
         """Composition: (f * g)(w) == f(g(w))."""

@@ -18,7 +18,12 @@ from subfactor.irreducible import (
 )
 from subfactor.cli import FILLING_PSI
 from subfactor.complex_cn import x_set
-from subfactor.stallings import apply_to_factor, factor_class, factor_from_strs
+from subfactor.stallings import (
+    apply_to_factor,
+    factor_class,
+    factor_from_strs,
+    invert_automorphism,
+)
 from subfactor.words import Automorphism
 
 
@@ -135,6 +140,27 @@ def test_spec_computes_growth_table_and_inverses_once(monkeypatch):
                              "invert_automorphism"]
 
 
+def test_pingpong_word_with_psi_builds_no_power_of_g(monkeypatch):
+    # g^e runs as psi^-1, f^e, psi: neither g ** N nor g^-1 is built
+    A = factor_from_strs(3, ["a", "b"])
+    psi = Automorphism.from_strs(3, ["c", "b", "a"])
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1, fill_bound=3)
+
+    class Unpowered(Automorphism):
+        def __pow__(self, n):
+            raise AssertionError("g ** n was built")
+
+    spec.g = Unpowered(spec.g.rank, spec.g.images)
+    inverted = []
+    real = irreducible.invert_automorphism
+    monkeypatch.setattr(irreducible, "invert_automorphism",
+                        lambda phi: inverted.append(phi) or real(phi))
+    for syl in ([("f", 1), ("g", 1)], [("f", 1), ("g", -1)],
+                [("g", -1), ("f", -1)]):
+        pingpong_word(spec, syl, powers=1, core_bound=4, candidate_cap=4)
+    assert inverted == [spec.f]
+
+
 def test_pingpong_word_requires_alternation():
     f = Automorphism.from_strs(3, ["b", "ab", "c"])
     g = Automorphism.from_strs(3, ["a", "c", "bc"])
@@ -202,29 +228,51 @@ def full_capped(auto, F, cap):
 
 
 def test_apply_capped_matches_full_images():
-    # the shipped spec (N = 8) and the pingpong word f^N g^N: each of the 72
-    # candidate orbits gets the same class or cap at every step, 70 stop at
-    # the length check and 2 at the core-size check
+    # the shipped spec (N = 8): on each word, each of the 72 candidate
+    # orbits gets the same class or cap at every step as the full image
+    # under the composed power g ** N (or the exact inverse's power), which
+    # the steps never build; the words stop at the length and core-size
+    # checks 70/2, 71/1 and 44/28 times
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
     spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
-    steps = irreducible._syllable_steps(
-        spec, syllable_reduce([("f", spec.N), ("g", spec.N)]))
+    inverse = {sym: invert_automorphism(getattr(spec, sym)) for sym in "fg"}
     candidates = irreducible._candidate_factors(3, 8, 80)
-    stops = []
-    for C in candidates:
-        cur = C
-        for _ in range(6):
-            for step in steps:
-                got = irreducible._apply_capped(step, cur, 400)
-                want, why = full_capped(step, cur, 400)
-                assert got == want
-                if got is None:
-                    break
-                cur = got
-            if got is None:
-                stops.append(why)
-                break
-            assert cur != C
     assert len(candidates) == 72
-    assert stops.count("length") == 70 and stops.count("core") == 2
+    for word, length_stops in (([("f", 1), ("g", 1)], 70),
+                               ([("f", 1), ("g", -1)], 71),
+                               ([("g", -1), ("f", -1)], 44)):
+        syl = syllable_reduce([(sym, e * spec.N) for sym, e in word])
+        steps = irreducible._syllable_steps(spec, syl)
+        full = [(getattr(spec, sym) if e > 0 else inverse[sym]) ** abs(e)
+                for sym, e in syl]
+        stops = []
+        for C in candidates:
+            cur = C
+            for _ in range(6):
+                for step, auto in zip(steps, full):
+                    got = irreducible._apply_capped(step, cur, 400)
+                    want, why = full_capped(auto, cur, 400)
+                    assert got == want
+                    if got is None:
+                        break
+                    cur = got
+                if got is None:
+                    stops.append(why)
+                    break
+                assert cur != C
+        assert stops.count("length") == length_stops
+        assert stops.count("core") == 72 - length_stops
+
+
+def test_apply_capped_is_exact_when_a_prefix_image_overshoots():
+    # psi^-2 then psi^2 is the identity, yet prefixes of psi^2(psi^-2(a))
+    # pass 100 letters: the 40-letter cap at cap = 1 still keeps <a>, and
+    # only because the stop length allows for the cancellation bound
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    inv = invert_automorphism(psi)
+    chain = (inv * inv, psi * psi)
+    A = factor_from_strs(3, ["a"])
+    bound = chain[-1].cancellation_bound(chain[0])
+    assert irreducible._apply_capped((chain, bound), A, 1) == A
+    assert irreducible._apply_capped((chain, 0), A, 1) is None

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from subfactor.stallings import random_automorphism
+from subfactor.cli import FILLING_PSI
+from subfactor.stallings import invert_automorphism, random_automorphism
 from subfactor.words import (
     Automorphism,
     Word,
@@ -179,10 +180,48 @@ def test_automorphism_kernel_matches_reference(rank):
             assert phi ** n == ref_power(phi, n, Automorphism.identity(rank))
 
 
-@pytest.mark.parametrize("rank,max_len", [(1, 5), (2, 7), (3, 5), (4, 4)])
+@pytest.mark.parametrize("rank,max_len", [(1, 5), (2, 7), (3, 5), (4, 4),
+                                          (2, 9), (3, 6)])
 def test_cyclic_words_match_filtered_product(rank, max_len):
     got = [w.letters for w in cyclic_words(rank, max_len)]
     assert got == list(ref_cyclic_words(rank, max_len))
+
+
+def _random_reduced(rank, rng, n):
+    return reduce(rank, [rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(n)])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_cancellation_is_bounded(rank):
+    # Cooper: at most Lip(phi) * floor(Lip(phi^-1) / 2) letters cancel
+    # between phi(u) and phi(v) when uv is reduced, so a prefix image is
+    # never more than that longer than the whole image
+    rng = random.Random(10 + rank)
+    autos = [random_automorphism(rank, rng, length=rng.randint(2, 8))
+             for _ in range(8)]
+    if rank == 3:
+        psi = Automorphism.from_strs(3, list(FILLING_PSI))
+        autos.append((psi, invert_automorphism(psi)))
+        assert psi.cancellation_bound(autos[-1][1]) == 24 * (49 // 2)
+    most = 0
+    for phi, inv in autos:
+        bound = phi.cancellation_bound(inv)
+        for _ in range(40):
+            u = _random_reduced(rank, rng, rng.randint(1, 30))
+            v = _random_reduced(rank, rng, rng.randint(1, 30))
+            if not (u and v) or (u * v).letters != u.letters + v.letters:
+                continue
+            cancelled = (len(phi(u)) + len(phi(v)) - len(phi(u * v))) // 2
+            assert cancelled <= bound
+            assert len(phi(u * v)) >= len(phi(u)) - bound
+            most = max(most, cancelled)
+            # so the image never stops at the stop length |phi(uv)| + bound,
+            # and always stops below |phi(uv)|
+            full = phi(u * v)
+            assert phi(u * v, stop=len(full) + bound) == full
+            assert phi(u * v, stop=len(full) - 1) is None
+    assert most > 0
 
 
 def test_whitehead_type2_built_once():
