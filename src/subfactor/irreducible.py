@@ -365,20 +365,27 @@ def _candidate_factors(n, core_bound, cap):
 
 
 def _growth_table(spec, samples=2, seed=0):
-    """Projection gaps behind the chain A, f^N B, f^N g^N A, ...: by
-    equivariance every interior gap equals one of d_B(A, g^N A) and
-    d_A(B, f^N B), the gap at the middle factor of one of the two
-    chain_windows (pulled back to target A when psi is known)."""
+    """Projection gaps behind the chain A, f^N B, f^N g^N A, ...: each
+    interior gap is d_B(A, g^N A) or d_A(B, f^N B), that is d_T(X, h^N X)
+    with h(T) = T (pulled back by psi^-1 to d_A(psi^-1 A, f^N psi^-1 A)
+    when psi is known).  By equivariance, pi_{phi T}(phi X) = phi . pi_T(X)
+    (Bestvina-Feighn, Subfactor projections, J. Topology 2014, extended
+    in A note on subfactor projections, arXiv:1307.1495), it is
+    diam(P u r^N . P) for P = pi_T(X) and r the restriction of h to T: the
+    samples h^N . G of h^N X project to r^N . pi_T(G) member for member,
+    so no image under h^N is projected."""
+    first = ((spec.A, apply_to_factor(spec.psi_inv, spec.A), spec.f)
+             if spec.psi is not None else (spec.B, spec.A, spec.g))
     rows = []
     names = ("d_B(A, g^N A)", "d_A(B, f^N B)")
-    for name, (other, target, moved) in zip(names, chain_windows(spec)):
-        px = project_factor(target, other, samples=samples, seed=seed)
-        py = project_factor(target, moved, samples=samples, seed=seed)
-        if not px or not py:
+    for name, (T, X, h) in zip(names, (first, (spec.A, spec.B, spec.f))):
+        P = project_factor(T, X, samples=samples, seed=seed)
+        if not P:
             rows.append((name, None, None))
             continue
-        lo, hi = factor_distance(target, px, py)
-        rows.append((name, lo, hi))
+        r = restriction(h, T)[0] ** spec.N
+        rows.append((name, *factor_distance(
+            T, P, {apply_to_factor(r, F) for F in P})))
     return rows
 
 
@@ -432,27 +439,26 @@ def spec_from_pair(f, g, A, B, m_emp, d_emp, fill_bound=8):
 def chain_windows(spec):
     """The interior three-term windows of the chain A, f^N B, f^N g^N A,
     f^N g^N f^N B, translated by the inverse prefix so every factor stays
-    moderately sized; by equivariance each window carries the same X-set
-    and projection data as the original one.
+    moderately sized; by equivariance each window carries the same X-sets
+    and projection gaps as the original one, which the chain checks use.
 
     The window at f^N B pulls back by (f^N psi)^-1 to (psi^-1 A, A,
     f^N psi^-1 A); the window at f^N g^N A pulls back by (f^N g^N)^-1 to
     (B, A, f^N B) since g^-N B = B.  Each is then shifted by f^-(N//2),
     which fixes the middle factor A, so the two ends grow like f^(N/2)
-    instead of one end carrying all of f^N.  Computed once per spec."""
+    instead of one end carrying all of f^N.  Computed once per spec; None
+    when no psi is known, like window_xsets."""
     return spec._once("_windows", _windows)
 
 
 def _windows(spec):
-    if spec.psi is not None:
-        fk, fmk = spec.shifts()
-        A1 = apply_to_factor(spec.psi_inv, spec.A)
-        return ((apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)),
-                (apply_to_factor(fmk, spec.B), spec.A,
-                 apply_to_factor(fk, spec.B)))
-    gN, fN = spec.power("g", spec.N), spec.power("f", spec.N)
-    return ((spec.A, spec.B, apply_to_factor(gN, spec.A)),
-            (spec.B, spec.A, apply_to_factor(fN, spec.B)))
+    if spec.psi is None:
+        return None
+    fk, fmk = spec.shifts()
+    A1 = apply_to_factor(spec.psi_inv, spec.A)
+    return ((apply_to_factor(fmk, A1), spec.A, apply_to_factor(fk, A1)),
+            (apply_to_factor(fmk, spec.B), spec.A,
+             apply_to_factor(fk, spec.B)))
 
 
 def translate_xset(xs, h):

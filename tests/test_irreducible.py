@@ -18,6 +18,8 @@ from subfactor.irreducible import (
 )
 from subfactor.cli import FILLING_PSI
 from subfactor.complex_cn import x_set
+from subfactor.marked import transformed
+from subfactor.projection import project_graph, sample_graphs_with_embedded
 from subfactor.stallings import (
     apply_to_factor,
     factor_class,
@@ -111,6 +113,8 @@ def test_spec_from_pair_and_word_search():
                        candidate_cap=20)
     assert ev.syllables == [("f", 8), ("g", 8)]
     assert ev.candidates > 0
+    # the windows and their X-sets are the pulled-back ones, which need psi
+    assert chain_windows(spec) is None and window_xsets(spec) is None
 
 
 def test_spec_computes_growth_table_and_inverses_once(monkeypatch):
@@ -138,6 +142,50 @@ def test_spec_computes_growth_table_and_inverses_once(monkeypatch):
     assert all(ev.growth_table == want for ev in evs)
     assert sorted(calls) == ["_growth_table", "invert_automorphism",
                              "invert_automorphism"]
+
+
+@pytest.mark.parametrize("T, X, h", [
+    (["b", "c"], ["a", "b"], ["a", "c", "bc"]),
+    (["a", "b"], ["b", "c"], ["b", "ab", "c"]),
+    (["a", "b"], None, ["b", "ab", "c"]),
+], ids=["pair-B-A-g", "pair-A-B-f", "psi-A-psiinvA-f"])
+def test_projection_is_equivariant_on_graphs(T, X, h):
+    # pi_T(h^k . G) = r^k . pi_T(G) member for member, r the restriction of
+    # h to T, for the samples G of the pinned pair and of the shipped
+    # spec's psi^-1 A; _growth_table rests on this
+    T = factor_from_strs(3, T)
+    h = Automorphism.from_strs(3, h)
+    if X is None:
+        psi = Automorphism.from_strs(3, list(FILLING_PSI))
+        X = apply_to_factor(invert_automorphism(psi), T)
+    else:
+        X = factor_from_strs(3, X)
+    r, _ = restriction(h, T)
+    for G in sample_graphs_with_embedded(X, samples=6, seed=0):
+        P = project_graph(T, G)
+        assert P
+        for k in range(1, 6):
+            assert project_graph(T, transformed(G, h ** k)) == {
+                apply_to_factor(r ** k, F) for F in P}
+
+
+def test_growth_table_projects_only_untranslated_factors(monkeypatch):
+    # the shipped spec's table comes from two projections of A, B or
+    # psi^-1 A; no image under f^N or g^N is projected
+    A = factor_from_strs(3, ["a", "b"])
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
+    untranslated = [A, spec.B, apply_to_factor(spec.psi_inv, A)]
+    projected = []
+    real = irreducible.project_factor
+    monkeypatch.setattr(irreducible, "project_factor", lambda T, X, **kw: (
+        projected.append((T, X)) or real(T, X, **kw)))
+    assert spec.growth_table() == [("d_B(A, g^N A)", 5, 5),
+                                   ("d_A(B, f^N B)", 5, 5)]
+    assert len(projected) == 2
+    for T, X in projected:
+        assert T == A or T == spec.B
+        assert any(X == F for F in untranslated)
 
 
 def test_pingpong_word_with_psi_builds_no_power_of_g(monkeypatch):
