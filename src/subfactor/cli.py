@@ -5,11 +5,11 @@ All reports are JSON with sorted keys; identical configuration and seed
 give byte-identical output.  Exit codes: 0 decided/pass, 1 a verification
 suite failed, 2 usage or domain error (bad options, or input the
 mathematics rejects, such as a non-primitive word for farey), 3 no answer
-where the command wants one: for classify the verdict is unknown at the
-budget, for project and distance a projection is empty, and for pingpong
-the fill check found witnesses and no invariant factor turned up, so there
-is no irreducibility evidence.  A failed internal consistency check is a
-bug, not an exit code: it raises RuntimeError with its traceback.
+where the command wants one: for project and distance a projection is
+empty, and for pingpong the fill check found witnesses and no invariant
+factor turned up, so there is no irreducibility evidence (classify always
+decides).  A failed internal consistency check is a bug, not an exit code:
+it raises RuntimeError with its traceback.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ FILLING_PSI = ("bcAcbbcAcBCaCCBCaCBBCaCB", "BCaCCCB", "bcAcbbcAc")
 @dataclass
 class Config:
     seed: int = 0
-    conjugator_length: int = 4
     complexity_bound: int = 8
     samples: int = 8
     powers: int = 6
@@ -79,8 +78,7 @@ class Config:
     cache_path: str = None
 
 
-BUDGETS = ("conjugator_length", "complexity_bound", "samples", "powers",
-           "factor_size")
+BUDGETS = ("complexity_bound", "samples", "powers", "factor_size")
 
 
 def config_from_args(args):
@@ -195,14 +193,8 @@ def emit(report):
 def cmd_classify(args, cfg):
     A = parse_factor(args.rank, args.a)
     B = parse_factor(args.rank, args.b)
-    res = classify_pair(A, B, conj_budget=cfg.conjugator_length,
-                        graph_samples=cfg.samples, seed=cfg.seed)
-    report = res.to_json()
-    report["config"] = {"seed": cfg.seed,
-                        "conjugator_length": cfg.conjugator_length,
-                        "samples": cfg.samples}
-    emit(report)
-    return 0 if res.kind != "unknown" else 3
+    emit(classify_pair(A, B).to_json())
+    return 0
 
 
 def cmd_project(args, cfg):
@@ -225,7 +217,7 @@ def cmd_distance(args, cfg):
     px = project_factor(A, X, samples=cfg.samples, seed=cfg.seed)
     py = project_factor(A, Y, samples=cfg.samples, seed=cfg.seed)
     if not px or not py:
-        emit({"error": "empty projection (containment or budget)",
+        emit({"error": "empty projection (nested or disjoint)",
               "x_projects": bool(px), "y_projects": bool(py)})
         return 3
     lo, hi = factor_distance(A, px, py)
@@ -520,7 +512,7 @@ def suite_bgit(samples, seed, m_emp=10):
     while done < samples and tried < samples * 20:
         tried += 1
         u, v = rng.sample(pool, 2)
-        lo, hi, path = cn_distance_bounds(u, v, pool=pool, conj_len=3)
+        lo, hi, path = cn_distance_bounds(u, v, pool=pool)
         if path is None:
             continue
         proj = set()
@@ -619,11 +611,10 @@ def suite_progress(samples, seed, m_emp=3, d_emp=2):
     spec = build_pingpong(A, psi, m_emp=m_emp, d_emp=d_emp)
     reports = []
     ok = True
-    xsets = window_xsets(spec, s=5, cap=6, conj_len=3)
+    xsets = window_xsets(spec, s=5, cap=6)
     for window, xrow in zip(chain_windows(spec), xsets):
         rep = chain_progress_verify(window, s=5, m_emp=m_emp, cap=6,
-                                    conj_len=3, samples=samples, seed=seed,
-                                    xsets=xrow)
+                                    samples=samples, seed=seed, xsets=xrow)
         ok = ok and rep.ok
         reports.append({"ok": rep.ok, "failures": rep.failures})
     return ok, {"N": spec.N, "windows": reports,
@@ -679,7 +670,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache", help=f"reduction cache path (or ${CACHE_ENV})")
     p.add_argument("--samples", type=int, dest="samples", default=None)
-    p.add_argument("--conjugator-length", type=int, dest="conjugator_length")
     p.add_argument("--complexity-bound", type=int, dest="complexity_bound")
     p.add_argument("--powers", type=int, dest="powers")
     p.add_argument("--factor-size", type=int, dest="factor_size")

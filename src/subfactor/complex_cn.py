@@ -3,8 +3,8 @@ conjugacy classes, edges join classes with representatives spanning a
 rank-2 free factor.  Includes the X_A sets of vertices disjoint from a
 factor A, bounded distance estimation, and the chain-progress verifier.
 
-The graph is locally infinite, so every enumeration here is complexity
-bounded and every negative answer at a search budget is flagged as such.
+Edges and X-set membership are decided exactly; the graph is locally
+infinite, so only enumeration is bounded, by cyclic word length.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .projection import (
-    disjointness_obstruction,
     factor_distance,
     find_disjoint_conjugator,
     project_factor,
@@ -50,8 +49,8 @@ def cvertex(w):
 @dataclass(eq=False)
 class EdgeResult:
     connected: bool
-    certified: bool  # False only when the search budget ran out
     conjugator: Word = None
+    certified = True  # a conjugator, or the exact decision that none exists
 
     def __bool__(self):
         return self.connected
@@ -60,27 +59,24 @@ class EdgeResult:
 _edge_cache = {}
 
 
-def is_cn_edge(u, v, conj_len=6):
+def is_cn_edge(u, v):
     """Edge test: do u and v admit representatives spanning a rank-2 free
-    factor?  A positive answer carries a conjugator certificate; a negative
-    one is certified only when an obstruction rules disjointness out.
-    Results are memoized by class codes (searches dominate BFS cost)."""
+    factor?  Decided exactly by find_disjoint_conjugator: a positive answer
+    carries its conjugator, a negative one rests on an obstruction or on
+    peak reduction of the pair.  Results are memoized by class codes
+    (decisions dominate BFS cost)."""
     if u.rank != 1 or v.rank != 1:
         raise ValueError("vertices must be rank-1 factors")
     if u == v:
         raise ValueError("same class")
     if u.rank_ambient != v.rank_ambient:
         raise ValueError("ambient rank mismatch")
-    key = (u.rank_ambient, conj_len) + tuple(sorted((u.code, v.code)))
+    key = (u.rank_ambient,) + tuple(sorted((u.code, v.code)))
     hit = _edge_cache.get(key)
     if hit is not None:
         return hit
-    if disjointness_obstruction(u, v) is not None:
-        res = EdgeResult(False, True)
-    else:
-        c = find_disjoint_conjugator(u, v, max_conj_len=conj_len)
-        # a conjugator certifies the edge; without one only the budget ran out
-        res = EdgeResult(c is not None, c is not None, c)
+    c = find_disjoint_conjugator(u, v)
+    res = EdgeResult(c is not None, c)
     _edge_cache[key] = res
     return res
 
@@ -159,14 +155,14 @@ class XSet:
         return 2 if len({v.code for v, _ in self.members}) > 1 else 0
 
 
-def x_set(A, s=8, cap=24, conj_len=4):
+def x_set(A, s=8, cap=24):
     """Vertices disjoint from A, each with a verified splitting conjugator,
     enumerated over cyclic words of length <= s (up to the member cap).
+    Membership is exact (find_disjoint_conjugator).
 
     When A has corank 1 the candidates are pre-filtered by the exact
     crossing test (the witness image of a disjoint class crosses the last
-    letter exactly once), so only genuine members reach the certificate
-    search."""
+    letter exactly once), so only members reach find_disjoint_conjugator."""
     if A.rank < 2:
         raise ValueError("rank(A) >= 2 required")
     n = A.rank_ambient
@@ -174,7 +170,7 @@ def x_set(A, s=8, cap=24, conj_len=4):
         return XSet(A, s, [])
     try:
         fast = corank1_tester(A)
-    except ValueError:  # not a free factor: no exact test, search instead
+    except ValueError:  # not a free factor: decide each class in full
         fast = None
     members = []
     for w in cyclic_words(n, s):
@@ -185,7 +181,7 @@ def x_set(A, s=8, cap=24, conj_len=4):
         F = factor_class([w])
         if any(F == v for v, _ in members):
             continue
-        c = find_disjoint_conjugator(A, F, max_conj_len=conj_len)
+        c = find_disjoint_conjugator(A, F)
         if c is None:
             continue
         members.append((F, c))
@@ -198,17 +194,17 @@ def x_set(A, s=8, cap=24, conj_len=4):
 # bounded distance
 
 
-def cn_distance_bounds(u, v, s=6, conj_len=4, pool=None, chain_links=0):
+def cn_distance_bounds(u, v, s=6, pool=None, chain_links=0):
     """(lower, upper, path) distance bounds between two vertices.
 
-    The upper bound comes from a BFS over a bounded pool of vertices using
-    certified edges only; the path of classes achieving it is returned.
+    The upper bound comes from a BFS over a bounded pool of vertices, every
+    edge decided exactly; the path of classes achieving it is returned.
     The lower bound is 0 or 1, or chain_links when the caller has verified
     a progress chain separating the vertices.
     """
     if u == v:
         return 0, 0, [u]
-    e = is_cn_edge(u, v, conj_len=conj_len)
+    e = is_cn_edge(u, v)
     if e:
         return 1, 1, [u, v]
     lower = max(1, chain_links)
@@ -227,7 +223,7 @@ def cn_distance_bounds(u, v, s=6, conj_len=4, pool=None, chain_links=0):
         for F in items:
             if F.code in seen or F.code == cur.code:
                 continue
-            if not is_cn_edge(cur, F, conj_len=conj_len):
+            if not is_cn_edge(cur, F):
                 continue
             if F.code == v.code:
                 return lower, len(path), path + [F]
@@ -260,13 +256,15 @@ def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,
 
     Callers holding certified X-sets already (for instance translated along
     an automorphism orbit, where direct enumeration finds no short members)
-    can pass them as xsets, aligned with factors."""
+    can pass them as xsets, aligned with factors.  conj_len is accepted and
+    ignored: X-set membership is decided exactly, and bench/workloads.py
+    still passes the keyword."""
     if len(factors) < 2:
         raise ValueError("need at least two factors")
     failures = []
     details = []
     if xsets is None:
-        xsets = [x_set(A, s=s, cap=cap, conj_len=conj_len) for A in factors]
+        xsets = [x_set(A, s=s, cap=cap) for A in factors]
     if len(xsets) != len(factors):
         raise ValueError("xsets must align with factors")
     for i in range(len(factors) - 1):

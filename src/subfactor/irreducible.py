@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .complex_cn import XSet, corank1_tester, enumerate_cvertices, x_set
 from .projection import (
-    disjointness_obstruction,
     factor_distance,
     farey_distance,
     find_disjoint_conjugator,
@@ -40,19 +39,19 @@ class FillReport:
     witnesses: list  # rank-1 classes disjoint from both factors
     bound: int
     scanned: int
-    inconclusive: int  # candidates where the budgeted search decided nothing
+    inconclusive = 0  # every candidate is decided exactly
 
     def __bool__(self):
         return bool(self.witnesses)
 
 
-def fill_check(A, B, s=8, conj_len=3, max_witnesses=50, phi_a=None,
-               phi_b=None):
+def fill_check(A, B, s=8, max_witnesses=50, phi_a=None, phi_b=None):
     """Search for a rank-1 class disjoint from both A and B among cyclic
-    words of length <= s.  A witness refutes filling; an empty result is
-    exact when both factors have rank n-1 and budget-flagged otherwise.
-    phi_a/phi_b are optional sub-rose-izing automorphisms (see
-    corank1_tester)."""
+    words of length <= s.  A witness refutes filling; an empty result means
+    no class up to length s is disjoint from both, since each candidate is
+    decided exactly: by the crossing test when a factor has rank n-1, by
+    find_disjoint_conjugator otherwise.  phi_a/phi_b are optional
+    sub-rose-izing automorphisms (see corank1_tester)."""
     if A.rank < 2 or B.rank < 2:
         raise ValueError("filling is about factors of rank >= 2")
     n = A.rank_ambient
@@ -60,39 +59,23 @@ def fill_check(A, B, s=8, conj_len=3, max_witnesses=50, phi_a=None,
     test_b = corank1_tester(B, phi_b)
     witnesses = []
     scanned = 0
-    inconclusive = 0
     for w in cyclic_words(n, s):
         scanned += 1
-        ok_a = _disjoint_from(A, w, test_a, conj_len)
-        if ok_a is None:
-            inconclusive += 1
-            continue
-        if not ok_a:
-            continue
-        ok_b = _disjoint_from(B, w, test_b, conj_len)
-        if ok_b is None:
-            inconclusive += 1
-            continue
-        if not ok_b:
+        if not (_disjoint_from(A, w, test_a) and _disjoint_from(B, w, test_b)):
             continue
         F = factor_class([w])
         if all(F != W for W in witnesses):
             witnesses.append(F)
             if len(witnesses) >= max_witnesses:
                 break
-    return FillReport(witnesses, s, scanned, inconclusive)
+    return FillReport(witnesses, s, scanned)
 
 
-def _disjoint_from(A, w, fast_test, conj_len):
-    """True/False when decided, None when only the budget ran out."""
+def _disjoint_from(A, w, fast_test):
+    """Whether the class of w is disjoint from A."""
     if fast_test is not None:
         return fast_test(w)
-    F = factor_class([w])
-    if not is_free_factor(F).is_factor or disjointness_obstruction(A, F):
-        return False
-    if find_disjoint_conjugator(A, F, max_conj_len=conj_len) is not None:
-        return True
-    return None
+    return find_disjoint_conjugator(A, factor_class([w])) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +464,12 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
     its set is transported with translate_xset (direct enumeration finds
     nothing once the translates stretch the short disjoint classes).
     Returns None when no psi is known (the untranslated windows enumerate
-    their own sets)."""
+    their own sets).  conj_len is accepted and ignored: X-set membership
+    is decided exactly, and bench/workloads.py still passes the keyword."""
     if spec.psi is None:
         return None
     fk, fmk = spec.shifts()
-    xa = _xset_grow(spec.A, s, cap, conj_len)
+    xa = _xset_grow(spec.A, s, cap)
     return [
         [translate_xset(xa, fmk * spec.psi_inv), xa,
          translate_xset(xa, fk * spec.psi_inv)],
@@ -494,10 +478,10 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
     ]
 
 
-def _xset_grow(A, s, cap, conj_len, s_max=9):
+def _xset_grow(A, s, cap, s_max=9):
     """x_set, retrying at larger word lengths until a member appears."""
     while True:
-        xs = x_set(A, s=s, cap=cap, conj_len=conj_len)
+        xs = x_set(A, s=s, cap=cap)
         if xs.members or s >= s_max:
             return xs
         s += 1

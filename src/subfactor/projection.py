@@ -1,7 +1,8 @@
 """Subfactor projections: exact Farey distances in rank 2, the projection
-pi_A(B) of one free factor into the factor complex of another, disjointness
-certificates via jointly-embedded marked graphs, classification of factor
-pairs, and the Behrstock-style consistency check.
+pi_A(B) of one free factor into the factor complex of another, the exact
+disjointness decision with its splitting certificates, jointly-embedded
+marked graphs, classification of factor pairs, and the Behrstock-style
+consistency check.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .stallings import (
     apply_to_factor,
     class_frame,
     contained_up_to_conjugacy,
+    descend,
     factor_class,
     find,
+    invert_automorphism,
     is_free_factor,
     mod2_span,
 )
@@ -258,7 +261,7 @@ def joint_embedding(A, B, G):
 
 
 # ---------------------------------------------------------------------------
-# disjointness: theorems first, then one search
+# disjointness: theorems first, then peak reduction of the pair
 
 
 def colors_meet(A, B):
@@ -295,17 +298,37 @@ def split_by(A, B, c):
     return res if res.is_factor else None
 
 
-def find_disjoint_conjugator(A, B, max_conj_len=4):
-    """A conjugator c of length <= max_conj_len that splits A and B (see
-    split_by), or None.  disjointness_obstruction is checked first.  One
-    direction suffices: <B, A^c> is conjugate to <A, B^(c^-1)>, and the
-    candidates are closed under inversion."""
+def find_disjoint_conjugator(A, B):
+    """A conjugator c that splits A and B (see split_by), or None when none
+    does: disjointness_obstruction first, then the pair descends
+    (stallings.descend) to an orbit-minimal pair.  That pair is two
+    sub-roses on disjoint letters I, J exactly when A and B split, since
+    sub-roses sharing a letter x meet in <x>.  The descent phi carries
+    P = phi^-1<x_I> and Q = phi^-1<x_J> into one free factor; the class
+    frames give A = u P u^-1 and B = v Q v^-1, so c = u v^-1 makes
+    <A, B^c> = u <P, Q> u^-1.  A c that fails split_by raises RuntimeError."""
     if disjointness_obstruction(A, B) is not None:
         return None
-    for c in _short_words(A.rank_ambient, max_conj_len):
-        if split_by(A, B, c) is not None:
-            return c
-    return None
+    (A1, B1), chain = descend((A, B))
+    if not (A1.is_sub_rose() and B1.is_sub_rose()):
+        return None
+    labels_a, labels_b = A1.sub_rose_labels(), B1.sub_rose_labels()
+    if set(labels_a) & set(labels_b):
+        return None
+    phi = Automorphism.identity(A.rank_ambient)
+    for move in chain:
+        phi = move * phi
+    inv = invert_automorphism(phi).images
+
+    def frame(F, labels):
+        sub = [inv[i - 1] for i in labels]
+        return class_frame(F.gens()) * ~class_frame(sub)
+
+    c = frame(A, labels_a) * ~frame(B, labels_b)
+    if split_by(A, B, c) is None:
+        raise RuntimeError("the conjugator read off the minimal pair does "
+                           "not split it")
+    return c
 
 
 def splitting_witness(A, B, c):
@@ -343,22 +366,6 @@ def splitting_witness(A, B, c):
     except MarkingError as err:
         raise RuntimeError(f"splitting witness fails its check: {err}") from err
     return witness
-
-
-def _short_words(rank, max_len):
-    out = [Word.identity(rank)]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for t in frontier:
-            for x in range(-rank, rank + 1):
-                if x == 0 or (t and t[-1] == -x):
-                    continue
-                s = t + (x,)
-                nxt.append(s)
-                out.append(Word(rank, s))
-        frontier = nxt
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +437,10 @@ def sample_graphs_with_embedded(B, samples=8, seed=0):
 
 def project_factor(A, B, samples=8, seed=0):
     """pi_A(B): union of pi_A(G) over sampled marked graphs where B is
-    embedded.  Empty when B does not meet A: containment, or a disjointness
-    certificate found at a small budget (such classes fail to project)."""
+    embedded.  Empty exactly when A is nested in B or B is disjoint from A
+    (such classes fail to project)."""
     if (contained_up_to_conjugacy(A, B)
-            or find_disjoint_conjugator(A, B, max_conj_len=2) is not None):
+            or find_disjoint_conjugator(A, B) is not None):
         return set()
     out = set()
     for G in sample_graphs_with_embedded(B, samples=samples, seed=seed):
@@ -533,10 +540,12 @@ def factor_distance(A, X_set, Y_set):
 
 @dataclass(eq=False)
 class Classification:
-    kind: str  # "contained_in", "contains", "disjoint", "overlap", "unknown"
-    certified: bool
+    kind: str  # "contained_in", "contains", "disjoint" or "overlap"
     detail: str = ""
     witness: DisjointWitness = None
+    # every verdict is decided: by containment, by a verified splitting, by
+    # an obstruction, or by peak reduction of the pair
+    certified = True
 
     def to_json(self):
         d = {"verdict": self.kind, "certified": self.certified,
@@ -550,33 +559,27 @@ class Classification:
         return d
 
 
-def classify_pair(A, B, conj_budget=4, graph_samples=6, seed=0):
+def classify_pair(A, B):
     """Trichotomy for a pair of free factors: contained (either way, up to
     conjugacy), disjoint (with a verified witness), or overlapping."""
     if A.rank_ambient != B.rank_ambient:
         raise ValueError("ambient rank mismatch")
     if A == B:
-        return Classification("contained_in", True, "equal classes")
+        return Classification("contained_in", "equal classes")
     if contained_up_to_conjugacy(A, B):
-        return Classification("contained_in", True, "A in B")
+        return Classification("contained_in", "A in B")
     if contained_up_to_conjugacy(B, A):
-        return Classification("contains", True, "B in A")
+        return Classification("contains", "B in A")
     reason = disjointness_obstruction(A, B)
     if reason is not None:
-        return Classification("overlap", True, reason)
-    c = find_disjoint_conjugator(A, B, max_conj_len=conj_budget)
-    if c is not None:
-        return Classification("disjoint", True, "splitting found",
-                              splitting_witness(A, B, c))
-    # graph-based search through jointly embedded wedges
-    small, big = (A, B) if A.rank <= B.rank else (B, A)
-    for G in sample_graphs_with_embedded(big, samples=graph_samples, seed=seed):
-        got = joint_embedding(small, big, G)
-        if got is not None:
-            if small is B:
-                got = DisjointWitness(got.graph, got.b_eids, got.a_eids)
-            return Classification("disjoint", True, "jointly embedded", got)
-    return Classification("unknown", False, "search budget exhausted")
+        return Classification("overlap", reason)
+    c = find_disjoint_conjugator(A, B)
+    if c is None:
+        return Classification("overlap", "peak reduction (Gersten 1984): "
+                              "the orbit-minimal pair is not two sub-roses "
+                              "on disjoint letters")
+    return Classification("disjoint", "splitting found",
+                          splitting_witness(A, B, c))
 
 
 def behrstock_check(A, B, G, samples=8, seed=0):

@@ -782,49 +782,67 @@ def _cut_table(rank):
                   abs(phi._cut[1])) for phi in whitehead_type2(rank))
 
 
-def _links(core):
-    """(link bitmask, vertices with that link) pairs of a core, with bits
-    as in _cut_table, and the number of edges per label."""
-    link = {}
-    for u, v, label in core.edges:
-        link[u] = link.get(u, 0) | 1 << (core.rank + label)
-        link[v] = link.get(v, 0) | 1 << (core.rank - label)
-    return (tuple(Counter(link.values()).items()),
-            Counter(label for _, _, label in core.edges))
+def _links(cores):
+    """(link bitmask, vertices with that link) pairs over the given cores,
+    with bits as in _cut_table, and the number of edges per label.  The cut
+    count of a move adds up over cores, so one table scores a tuple."""
+    masks = Counter()
+    per_label = Counter()
+    for core in cores:
+        link = {}
+        for u, v, label in core.edges:
+            link[u] = link.get(u, 0) | 1 << (core.rank + label)
+            link[v] = link.get(v, 0) | 1 << (core.rank - label)
+        masks.update(link.values())
+        per_label.update(label for _, _, label in core.edges)
+    return tuple(masks.items()), per_label
 
 
-def _reduce(F):
-    obstruction = _obstruction(F)
-    if obstruction is not None:
-        return FreeFactorResult(False, reason=obstruction)
-    table = _cut_table(F.rank_ambient)
+def descend(classes):
+    """Strict Whitehead descent of a tuple of classes on their summed edge
+    count, scoring moves as is_free_factor does, until every class is a
+    sub-rose or no move shortens the tuple.  Peak reduction holds for
+    tuples up to conjugacy with that measure (Gersten 1984), so the stop
+    is orbit-minimal.  Returns the final classes and the moves taken."""
+    table = _cut_table(classes[0].rank_ambient)
     chain = []
-    current = F
+    current = list(classes)
     # explicit generating words so the strict-descent loop never needs
     # canonical starts or codes of large intermediate graphs
-    gens = list(F.gens())
-    while not current.is_sub_rose():
-        links, per_label = _links(current.core)
+    gens = [list(F.gens()) for F in current]
+    while not all(F.is_sub_rose() for F in current):
+        links, per_label = _links([F.core for F in current])
         for phi, inv, label in table:
             # the vertices whose link A^-1 cuts (see is_free_factor)
             cut = sum(k for m, k in links if 0 != m & inv != m)
             if cut < per_label[label]:
                 break  # first improvement; order is fixed, so deterministic
         else:
-            # type I moves keep the edge count, so peak reduction makes
-            # this strict local minimum orbit-minimal
-            return FreeFactorResult(False, reason=MINIMAL)
-        size = current.complexity() + cut - per_label[label]
-        gens = [phi(w) for w in gens]
-        current = factor_class(gens)
-        if current.complexity() != size:
+            # type I moves keep the edge count, so this strict local
+            # minimum is orbit-minimal
+            break
+        size = sum(F.complexity() for F in current) + cut - per_label[label]
+        gens = [[phi(w) for w in ws] for ws in gens]
+        current = [factor_class(ws) for ws in gens]
+        if sum(F.complexity() for F in current) != size:
             raise RuntimeError("Whitehead move folded to a core whose edge "
                                "count differs from its cut count")
         chain.append(phi)
         # conjugating junk can pile up on the words; re-canonicalize when
         # they outgrow the core
-        if sum(len(w) for w in gens) > 2 * current.complexity() + 20:
-            gens = list(current.gens())
+        for i, F in enumerate(current):
+            if sum(len(w) for w in gens[i]) > 2 * F.complexity() + 20:
+                gens[i] = list(F.gens())
+    return current, chain
+
+
+def _reduce(F):
+    obstruction = _obstruction(F)
+    if obstruction is not None:
+        return FreeFactorResult(False, reason=obstruction)
+    (current,), chain = descend((F,))
+    if not current.is_sub_rose():
+        return FreeFactorResult(False, reason=MINIMAL)
     return FreeFactorResult(True, witness=_finish(current, chain),
                             reason=SUB_ROSE)
 

@@ -49,7 +49,6 @@ def splits_both_ways(A, B, max_conj_len):
     """Whether some conjugator of length <= max_conj_len splits A and B,
     searched in both directions: <A, B^c> and then <B, A^c> a free factor
     of rank rank A + rank B, with rank n compared to F_n itself."""
-    from subfactor.projection import _short_words
     from subfactor.stallings import factor_class, is_free_factor
     from subfactor.words import Word
 
@@ -68,3 +67,22 @@ def splits_both_ways(A, B, max_conj_len):
             elif is_free_factor(H).is_factor:
                 return True
     return False
+
+
+def _short_words(rank, max_len):
+    """Every reduced word of length <= max_len, shortest first."""
+    from subfactor.words import Word
+
+    out = [Word.identity(rank)]
+    frontier = [()]
+    for _ in range(max_len):
+        nxt = []
+        for t in frontier:
+            for x in range(-rank, rank + 1):
+                if x == 0 or (t and t[-1] == -x):
+                    continue
+                s = t + (x,)
+                nxt.append(s)
+                out.append(Word(rank, s))
+        frontier = nxt
+    return out

@@ -273,10 +273,10 @@ def test_pingpong_evidence():
     ev = pingpong_word(spec, [("f", 1), ("g", 1)], powers=6, core_bound=8)
     assert ev.invariant_factor is None
 
-    xsets = window_xsets(spec, s=5, cap=6, conj_len=3)
+    xsets = window_xsets(spec, s=5, cap=6)
     for window, xrow in zip(chain_windows(spec), xsets):
         out = chain_progress_verify(window, s=5, m_emp=M_EMP, cap=6,
-                                    conj_len=3, samples=6, seed=0, xsets=xrow)
+                                    samples=6, seed=0, xsets=xrow)
         assert out.ok, out.failures
 
     w = [("f", spec.N), ("g", spec.N)]

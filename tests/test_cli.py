@@ -77,10 +77,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
-    # free-factor verdicts need no search budget, so there is no such flag
-    assert main(["--plateau-depth", "2", "farey", "--u", "a",
-                 "--v", "b"]) == 2
-    capsys.readouterr()
+    # neither free-factor nor disjointness verdicts need a search budget,
+    # so there are no such flags
+    for flag, value in (("--plateau-depth", "2"),
+                        ("--conjugator-length", "4")):
+        assert main([flag, value, "farey", "--u", "a", "--v", "b"]) == 2
+        capsys.readouterr()
     # domain errors: the mathematics rejects the input (1 means a failed
     # suite, so these exit 2 with one line on stderr, not a traceback)
     for argv, message in (
@@ -230,7 +232,7 @@ def test_cache_reads_records_with_depth(tmp_path):
 
 def test_trichotomy_gate_can_fail(capsys, monkeypatch):
     monkeypatch.setattr(cli, "classify_pair", lambda A, B: Classification(
-        "contained_in", True, "wrong on purpose"))
+        "contained_in", "wrong on purpose"))
     code, rep = run(capsys, "--samples", "5", "verify", "--suite",
                     "trichotomy")
     assert code == 1
@@ -239,7 +241,7 @@ def test_trichotomy_gate_can_fail(capsys, monkeypatch):
 
 def test_bgit_gate_needs_every_path(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cn_distance_bounds",
-                        lambda u, v, pool, conj_len: (1, None, None))
+                        lambda u, v, pool: (1, None, None))
     code, rep = run(capsys, "--samples", "2", "verify", "--suite", "bgit")
     assert code == 1
     assert rep["pass"] is False

@@ -53,10 +53,9 @@ def test_edges_match_farey_in_rank_two():
     verts = [cvertex(x) for x in (w("a"), w("b"), w("ab"), w("aB"))]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            got = is_cn_edge(verts[i], verts[j], conj_len=3)
-            if got.certified:
-                assert bool(got) == farey_adjacent(
-                    primitive_vector(verts[i]), primitive_vector(verts[j]))
+            got = is_cn_edge(verts[i], verts[j])
+            assert bool(got) == farey_adjacent(
+                primitive_vector(verts[i]), primitive_vector(verts[j]))
 
 
 def test_enumerate_cvertices():

@@ -234,7 +234,7 @@ def test_build_pingpong_with_tame_psi():
 
 def test_translate_xset_preserves_certificates():
     A = factor_from_strs(3, ["a", "b"])
-    xs = x_set(A, s=4, cap=5, conj_len=3)
+    xs = x_set(A, s=4, cap=5)
     assert xs.members
     h = Automorphism.from_strs(3, ["ab", "b", "ca"])
     xs2 = translate_xset(xs, h)
@@ -248,7 +248,7 @@ def test_window_xsets_align_with_windows():
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, ["c", "b", "a"])
     spec = build_pingpong(A, psi, m_emp=1, d_emp=1, fill_bound=3)
-    rows = window_xsets(spec, s=4, cap=3, conj_len=3)
+    rows = window_xsets(spec, s=4, cap=3)
     for win, row in zip(chain_windows(spec), rows):
         for F, x in zip(win, row):
             assert x.factor == F

@@ -4,7 +4,7 @@ from collections import deque
 from math import gcd
 from pathlib import Path
 
-from subfactor import cli
+from subfactor import cli, projection
 from subfactor.marked import rose, transformed
 from subfactor.projection import (
     _dist_to_infinity,
@@ -21,6 +21,7 @@ from subfactor.projection import (
     primitive_vector,
     project_factor,
     project_graph,
+    split_by,
     splitting_witness,
 )
 from subfactor.stallings import (
@@ -196,11 +197,10 @@ def test_find_disjoint_conjugator():
     B = factor_from_strs(3, ["c"])
     got = find_disjoint_conjugator(A, B)
     assert got is not None
-    # an overlapping pair has none at any budget (the obstructions are
-    # checked first; here colors obstruct)
+    # an overlapping pair has none (the obstructions are checked first;
+    # here colors obstruct)
     assert find_disjoint_conjugator(
-        factor_from_strs(3, ["a"]), factor_from_strs(3, ["bab"]),
-        max_conj_len=2) is None
+        factor_from_strs(3, ["a"]), factor_from_strs(3, ["bab"])) is None
 
 
 def _seeded_pairs(n, count, seed):
@@ -222,13 +222,46 @@ def test_every_found_conjugator_gives_a_verifying_witness():
 
 
 def test_one_direction_search_matches_both_directions():
+    # the exact decision against the conjugator search in both directions:
+    # a pair the search splits, the decision splits too, with a conjugator
+    # that split_by accepts; a pair the decision leaves unsplit, the search
+    # cannot split either
     for n, budget, seed in ((3, 3, 2), (4, 2, 3)):
         outcomes = set()
         for A, B in _seeded_pairs(n, 100, seed):
-            found = find_disjoint_conjugator(A, B, budget) is not None
-            assert found == splits_both_ways(A, B, budget)
-            outcomes.add(found)
+            c = find_disjoint_conjugator(A, B)
+            if c is None:
+                assert not splits_both_ways(A, B, budget)
+            else:
+                assert split_by(A, B, c) is not None
+            outcomes.add(c is not None)
         assert outcomes == {True, False}
+
+
+# the pairs of _seeded_pairs(3, 600, 1) that a conjugator search to length
+# 4 and sampled joint embeddings left undecided
+UNDECIDED_BY_SEARCH = (
+    (["Aba", "Ac"], ["Acab"]), (["ca"], ["cbb", "BaC"]),
+    (["caa"], ["caB", "cbC"]), (["ca"], ["cbb", "Bcbab"]),
+    (["Ab"], ["baa", "bc"]), (["ba"], ["BaB"]), (["cAcaC", "b"], ["Bac"]),
+    (["Ab"], ["baC", "bc"]), (["baB", "c"], ["Cab"]), (["cBaBc"], ["ba"]),
+)
+
+
+def test_pairs_the_search_left_undecided_are_certified_overlaps(
+        monkeypatch):
+    for a, b in UNDECIDED_BY_SEARCH:
+        res = classify_pair(factor_from_strs(3, a), factor_from_strs(3, b))
+        assert (res.kind, res.certified) == ("overlap", True)
+        assert "Gersten" in res.detail
+    # in F_5 the search tried every conjugator up to its budget; the
+    # decision tries none
+    calls = []
+    monkeypatch.setattr(projection, "split_by",
+                        lambda *args: calls.append(args))
+    res = classify_pair(factor_from_strs(5, ["ba"]),
+                        factor_from_strs(5, ["BaB"]))
+    assert res.kind == "overlap" and calls == []
 
 
 def test_classify_trichotomy_basics():

@@ -29,6 +29,9 @@ REPORTS = {
     # a splitting whose complement lies in another conjugacy frame
     "classify-split-frame": ["classify", "--rank", "3", "--a", "c",
                              "--b", "BBcBac"],
+    # an overlap that only peak reduction of the pair decides
+    "classify-joint-minimal": ["classify", "--rank", "3", "--a", "ba",
+                               "--b", "BaB"],
 }
 for suite in ("trichotomy", "xset", "joint-embedding", "near-embedded",
               "equivariance", "diameter", "behrstock", "progress"):

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -568,8 +569,13 @@ def test_cut_count_check_can_fail(monkeypatch):
     # fold of the first move taken disagrees, and the failure leaves main
     # as a bug instead of exiting 2
     links = stallings._links
-    monkeypatch.setattr(stallings, "_links", lambda core: (
-        links(core)[0], [k + 1 for k in links(core)[1]]))
+
+    def one_edge_more(cores):
+        masks, per_label = links(cores)
+        return masks, Counter({a: per_label[a] + 1
+                               for a in range(1, cores[0].rank + 1)})
+
+    monkeypatch.setattr(stallings, "_links", one_edge_more)
     clear_reduction_cache()
     try:
         with pytest.raises(RuntimeError, match="cut count"):
