@@ -6,7 +6,7 @@ give byte-identical output.  Exit codes: 0 decided/pass, 1 a verification
 suite failed, 2 usage or domain error (bad options, or input the
 mathematics rejects, such as a non-primitive word for farey), 3 no answer
 where the command wants one: for project and distance a projection is
-empty, and for pingpong the fill check found witnesses and no invariant
+empty, and for pingpong the fill check found a witness and no invariant
 factor turned up, so there is no irreducibility evidence (classify always
 decides).  A failed internal consistency check is a bug, not an exit code:
 it raises RuntimeError with its traceback.
@@ -63,8 +63,8 @@ from .words import Automorphism, Word, word_from_str, word_to_str
 
 CACHE_ENV = "SUBFACTOR_CACHE"
 
-# the shipped filling pair: B = psi(<a,b>) admits no common disjoint
-# rank-1 class with <a,b> up to cyclic length 8 (exact corank-1 scan)
+# the shipped filling pair: B = psi(<a,b>) and <a,b> have no common
+# disjoint rank-1 class (both have corank 1, so fill_check decides exactly)
 FILLING_PSI = ("bcAcbbcAcBCaCCBCaCBBCaCB", "BCaCCCB", "bcAcbbcAc")
 
 

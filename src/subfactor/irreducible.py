@@ -1,10 +1,12 @@
 """Ping-pong construction of candidate fully irreducible automorphisms:
-filling checks for factor pairs, exact restriction of a factor-preserving
-automorphism, Farey translation estimates, and bounded evidence searches
-for invariant factors.
+filling checks for factor pairs (exact when both factors have corank 1, a
+bounded scan of cyclic words otherwise), exact restriction of a
+factor-preserving automorphism, Farey translation estimates, and bounded
+evidence searches for invariant factors.
 
 Nothing here proves full irreducibility; negative certificates (an explicit
-invariant factor) are exact, positive support is exhausted bounded search.
+invariant factor, or a class disjoint from both factors) are exact, and
+positive support is an exhausted bounded search for invariant factors.
 """
 
 from __future__ import annotations
@@ -24,10 +26,22 @@ from .stallings import (
     apply_to_factor,
     class_frame,
     factor_class,
+    incidence,
     invert_automorphism,
     is_free_factor,
+    spanning_tree,
+    subgroup_graph,
 )
-from .words import Automorphism, Word, abelianize, cyclic_reduce, cyclic_words
+from .words import (
+    Automorphism,
+    Word,
+    _inverse_letters,
+    _word,
+    abelianize,
+    cyclic_reduce,
+    cyclic_words,
+    free_reduce,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,39 +50,40 @@ from .words import Automorphism, Word, abelianize, cyclic_reduce, cyclic_words
 
 @dataclass(eq=False)
 class FillReport:
-    witnesses: list  # rank-1 classes disjoint from both factors
-    bound: int
-    scanned: int
+    witnesses: list  # a rank-1 class disjoint from both factors, or none
+    bound: int = None  # the scan's word length; None when decided exactly
+    scanned: int = None  # words the scan tried; None when decided exactly
     inconclusive = 0  # every candidate is decided exactly
 
     def __bool__(self):
         return bool(self.witnesses)
 
 
-def fill_check(A, B, s=8, max_witnesses=50, phi_a=None, phi_b=None):
-    """Search for a rank-1 class disjoint from both A and B among cyclic
-    words of length <= s.  A witness refutes filling; an empty result means
-    no class up to length s is disjoint from both, since each candidate is
-    decided exactly: by the crossing test when a factor has rank n-1, by
-    find_disjoint_conjugator otherwise.  phi_a/phi_b are optional
-    sub-rose-izing automorphisms (see corank1_tester)."""
+def fill_check(A, B, s=8, phi_b=None):
+    """Look for a rank-1 class disjoint from both A and B; a witness
+    refutes filling, so the search stops at the first one.
+
+    When A and B both have rank n-1 the answer is exact (_corank1_witness)
+    and the report carries no bound: an empty result means the pair fills.
+    Otherwise cyclic words of length <= s are scanned, each decided exactly
+    (by the crossing test on a corank-1 side, by find_disjoint_conjugator
+    otherwise), and an empty result only means no class up to length s is
+    disjoint from both.  phi_b is an optional automorphism carrying B to
+    the sub-rose (see corank1_tester)."""
     if A.rank < 2 or B.rank < 2:
         raise ValueError("filling is about factors of rank >= 2")
     n = A.rank_ambient
-    test_a = corank1_tester(A, phi_a)
+    if A.rank == B.rank == n - 1:
+        w = _corank1_witness(A, B, phi_b)
+        return FillReport([] if w is None else [factor_class([w])])
+    test_a = corank1_tester(A)
     test_b = corank1_tester(B, phi_b)
-    witnesses = []
     scanned = 0
     for w in cyclic_words(n, s):
         scanned += 1
-        if not (_disjoint_from(A, w, test_a) and _disjoint_from(B, w, test_b)):
-            continue
-        F = factor_class([w])
-        if all(F != W for W in witnesses):
-            witnesses.append(F)
-            if len(witnesses) >= max_witnesses:
-                break
-    return FillReport(witnesses, s, scanned)
+        if _disjoint_from(A, w, test_a) and _disjoint_from(B, w, test_b):
+            return FillReport([factor_class([w])], s, scanned)
+    return FillReport([], s, scanned)
 
 
 def _disjoint_from(A, w, fast_test):
@@ -76,6 +91,123 @@ def _disjoint_from(A, w, fast_test):
     if fast_test is not None:
         return fast_test(w)
     return find_disjoint_conjugator(A, factor_class([w])) is not None
+
+
+def _corank1_witness(A, B, phi_b):
+    """A word whose class is disjoint from both A and B, or None when no
+    rank-1 class is, for factors of rank n-1.  Exact; the cost is linear in
+    the folded graph below plus the pairs of its vertices read from (q, p).
+
+    Let a carry A to the sub-rose S on x_1..x_{n-1}.  A class is disjoint
+    from A iff it is a^-1(x_n alpha) with alpha in S (the crossing test of
+    corank1_tester; one sign of x_n suffices, as <w> = <w^-1>).  With
+    theta = phi_b a^-1, H = theta(S) and t = theta(x_n), a witness is a
+    t h, h in H, crossing x_n exactly once cyclically.  In the folded graph
+    Gamma of H (Stallings, Invent. Math. 71, 1983) read t from the
+    basepoint o as far as it goes, to p, and t^-1 likewise, to q, so that
+    t = u m v with u read o -> p and v read q -> o.  Then t H is conjugate
+    to m K, K the labels of walks q -> p.  When m is empty, the cyclic
+    reduction of such a label w g w^-1 is a walk g: q.w -> p.w, so the
+    classes are those of walks r -> s over the pairs (r, s) read from
+    (q, p) by one word.  Cyclic reduction drops letters in inverse pairs,
+    so a witness exists iff such a walk (from q to p when m is not empty)
+    crosses x_n exactly 1 - |m|_{x_n} times: r and s lie in one component
+    of Gamma less its x_n edges, or in two joined by one.  The witness
+    a^-1(x_n alpha) is read back through H's basis, and both crossing
+    tests re-check it."""
+    n = A.rank_ambient
+    res = is_free_factor(A)
+    if not res.is_factor:
+        raise ValueError("not a free factor")
+    if phi_b is None:
+        phi_b = _subrose_map(B)
+    theta = phi_b * res.witness_inverse
+    gens = [theta(Word(n, (i,))) for i in range(1, n)]
+    t = theta(Word(n, (n,))).letters
+    graph = subgroup_graph(gens)
+    step = {v: {sign * x: u for x, sign, u in out}
+            for v, out in incidence(graph.edges).items()}
+    fwd = _trail(step, graph.basepoint, t)
+    bwd = _trail(step, graph.basepoint, _inverse_letters(t))
+    i = len(fwd) - 1
+    j = min(len(bwd) - 1, len(t) - i)
+    middle = t[i:len(t) - j]
+    need = 1 - sum(1 for x in middle if abs(x) == n)
+    if need < 0:
+        return None
+    home = _components(graph, n)
+    joins = {}
+    for u, v, x in graph.edges:
+        if x == n:
+            joins.setdefault((home[u][0], home[v][0]), (u, x, v))
+            joins.setdefault((home[v][0], home[u][0]), (v, -x, u))
+    pairs = (_pair_orbit(step, bwd[j], fwd[i]) if not middle
+             else [((bwd[j], fwd[i]), ())])
+    for (r, s), w in pairs:
+        if need == 0 and home[r][0] == home[s][0]:
+            walk = _across(home, r, s)
+        elif need == 1 and (home[r][0], home[s][0]) in joins:
+            x, e, y = joins[home[r][0], home[s][0]]
+            walk = _across(home, r, x) + (e,) + _across(home, y, s)
+        else:
+            continue
+        # h = v^-1 (w walk w^-1) u^-1 in H, so t h = u (m k) u^-1
+        h = _word(n, free_reduce(_inverse_letters(t[len(t) - j:]) + w + walk
+                                 + _inverse_letters(w)
+                                 + _inverse_letters(t[:i])))
+        alpha = Expression(gens).express(h)
+        witness = res.witness_inverse(Word(n, (n,) + alpha.letters))
+        if not (corank1_tester(A, res.witness)(witness)
+                and corank1_tester(B, phi_b)(witness)):
+            raise RuntimeError("exact fill witness failed a crossing test")
+        return witness
+    return None
+
+
+def _trail(step, v, letters):
+    """The vertices along the longest prefix of letters readable from v."""
+    out = [v]
+    for x in letters:
+        v = step[v].get(x)
+        if v is None:
+            break
+        out.append(v)
+    return out
+
+
+def _components(graph, n):
+    """Vertex -> (root, letters of a path root -> vertex) in the graph less
+    its x_n edges, one spanning tree per component."""
+    plain = [e for e in graph.edges if e[2] != n]
+    home = {}
+    for root in sorted(graph.vertex_set()):
+        if root not in home:
+            paths, _ = spanning_tree(root, plain)
+            for v, path in paths.items():
+                home[v] = (root, tuple(sign * x for x, sign in path))
+    return home
+
+
+def _across(home, r, s):
+    """Letters of a path r -> s inside one component (see _components)."""
+    return _inverse_letters(home[r][1]) + home[s][1]
+
+
+def _pair_orbit(step, q, p):
+    """The pairs (q.w, p.w) over words w readable from both q and p, each
+    with its w, breadth first."""
+    seen = {(q, p)}
+    frontier = [((q, p), ())]
+    while frontier:
+        nxt = []
+        for (r, s), w in frontier:
+            yield (r, s), w
+            for x, r2 in sorted(step[r].items()):
+                s2 = step[s].get(x)
+                if s2 is not None and (r2, s2) not in seen:
+                    seen.add((r2, s2))
+                    nxt.append(((r2, s2), w + (x,)))
+        frontier = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +239,11 @@ def restriction(f, A):
 
 
 def translation_estimate(h, k_max=8):
-    """Lower-bound style estimate of the translation rate of h on the Farey
-    graph: the worst seed's best distance-per-power ratio.  Zero whenever h
-    fixes one of the seed vertices."""
+    """An upper bound on the stable translation rate of h on the Farey
+    graph: the worst seed's best distance-per-power ratio d(v, h^k v)/k
+    over k <= k_max.  By subadditivity, d(v, h^(jk) v) <= j d(v, h^k v), so
+    every such ratio is at least the stable rate lim d(v, h^k v)/k.  Zero
+    whenever h fixes one of the seed vertices."""
     if h.rank != 2:
         raise ValueError("Farey estimates need a rank-2 automorphism")
     seeds = [Word(2, (1,)), Word(2, (2,)), Word(2, (1, 2))]
@@ -398,13 +532,14 @@ def build_pingpong(A, psi, m_emp, d_emp, fib=None, fill_bound=8):
     return spec
 
 
-def _subrose_map(A, to_A):
-    """An automorphism carrying to_A^-1(A) onto the sub-rose on the first
-    rank(A) letters, built by composing A's own Whitehead witness."""
+def _subrose_map(A, to_A=None):
+    """An automorphism carrying to_A^-1(A) (A itself when to_A is None)
+    onto the sub-rose on the first rank(A) letters, built by composing A's
+    own Whitehead witness."""
     res = is_free_factor(A)
     if not res.is_factor:
         raise ValueError("not a free factor")
-    return res.witness * to_A
+    return res.witness if to_A is None else res.witness * to_A
 
 
 def spec_from_pair(f, g, A, B, m_emp, d_emp, fill_bound=8):

@@ -1,6 +1,7 @@
 """Independent checks that several test modules share: subgroup membership
 read off a folded graph, Farey adjacency of slopes, the Farey distance by
-recursion, and the conjugator search in both directions."""
+recursion, the conjugator search in both directions, and the bounded
+filling scan."""
 
 from functools import lru_cache
 
@@ -86,3 +87,23 @@ def _short_words(rank, max_len):
                 out.append(Word(rank, s))
         frontier = nxt
     return out
+
+
+def fill_scan(A, B, s):
+    """The first rank-1 class disjoint from both A and B among cyclic words
+    of length <= s, or None: the bounded scan that fill_check ran on every
+    pair before corank-1 pairs were decided exactly.  A word is decided by
+    the crossing test on a corank-1 side, by find_disjoint_conjugator
+    otherwise."""
+    from subfactor.complex_cn import corank1_tester
+    from subfactor.projection import find_disjoint_conjugator
+    from subfactor.stallings import factor_class
+    from subfactor.words import cyclic_words
+
+    sides = [(F, corank1_tester(F)) for F in (A, B)]
+    for w in cyclic_words(A.rank_ambient, s):
+        if all(test(w) if test is not None else
+               find_disjoint_conjugator(F, factor_class([w])) is not None
+               for F, test in sides):
+            return factor_class([w])
+    return None

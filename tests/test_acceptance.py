@@ -20,6 +20,7 @@ from subfactor.cli import (
 )
 from subfactor.complex_cn import chain_progress_verify, x_set
 from subfactor.irreducible import (
+    _disjoint_from,
     build_pingpong,
     chain_windows,
     fill_check,
@@ -263,11 +264,15 @@ def test_pingpong_evidence():
     A = factor_from_strs(3, ["a", "b"])
     B0 = factor_from_strs(3, ["b", "c"])
     rep = fill_check(A, B0, s=8)
-    assert any(W == factor_from_strs(3, ["cA"]) for W in rep.witnesses)
+    assert rep  # <a,b>, <b,c> do not fill: <cA> misses both
+    cA = Word(3, (3, -1))
+    assert all(_disjoint_from(F, cA, None) for F in (A, B0))
 
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
     spec = build_pingpong(A, psi, m_emp=M_EMP, d_emp=D_EMP, fill_bound=8)
-    assert not spec.fill  # shipped pair fills at this bound
+    # the shipped pair fills: both factors have corank 1, so this is
+    # decided exactly and not up to a word length
+    assert not spec.fill and spec.fill.bound is None
     assert spec.fill.inconclusive == 0
 
     ev = pingpong_word(spec, [("f", 1), ("g", 1)], powers=6, core_bound=8)

@@ -266,7 +266,8 @@ def test_pingpong_command(capsys):
                     "--g", "a,c,bc", "--m-emp", "1", "--d-emp", "1")
     assert rep["N"] == 8
     assert rep["syllables"] == [["f", 8], ["g", 8]]
-    # this pair does not fill, so a clean run is still inconclusive
+    # <a,b>, <b,c> do not fill (decided exactly, both have corank 1), so
+    # a run without an invariant factor gives no evidence
     assert code in (0, 3)
     if rep["invariant_factor"] is None:
         assert code == 3

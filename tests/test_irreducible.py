@@ -1,9 +1,14 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from subfactor import irreducible
 from subfactor.irreducible import (
     FillReport,
     PingPongSpec,
+    _disjoint_from,
     build_pingpong,
     choose_power,
     fill_check,
@@ -19,14 +24,22 @@ from subfactor.irreducible import (
 from subfactor.cli import FILLING_PSI
 from subfactor.complex_cn import x_set
 from subfactor.marked import transformed
-from subfactor.projection import project_graph, sample_graphs_with_embedded
+from subfactor.projection import (
+    find_disjoint_conjugator,
+    project_graph,
+    sample_graphs_with_embedded,
+)
 from subfactor.stallings import (
     apply_to_factor,
     factor_class,
     factor_from_strs,
     invert_automorphism,
+    random_automorphism,
 )
-from subfactor.words import Automorphism
+from subfactor.words import Automorphism, Word, word_from_str
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import fill_scan  # noqa: E402
 
 
 def test_restriction_worked_example():
@@ -85,15 +98,67 @@ def test_syllable_algebra():
     assert len(syllable_reduce(u * 2)) == 2 * len(syllable_reduce(u)) - 1
 
 
+def _assert_witnesses_disjoint(rep, A, B):
+    assert len(rep.witnesses) <= 1
+    for W in rep.witnesses:
+        assert W.rank == 1
+        assert find_disjoint_conjugator(A, W) is not None
+        assert find_disjoint_conjugator(B, W) is not None
+
+
 def test_fill_check_finds_witness():
     # <a,b> and <b,c> in F_3 do not fill: <cA> misses both
     A = factor_from_strs(3, ["a", "b"])
     B = factor_from_strs(3, ["b", "c"])
     rep = fill_check(A, B, s=4)
-    assert rep
-    target = factor_from_strs(3, ["cA"])
-    assert any(W == target for W in rep.witnesses)
     assert isinstance(rep, FillReport)
+    assert rep and rep.bound is None and rep.scanned is None
+    assert all(_disjoint_from(F, word_from_str(3, "cA"), None) for F in (A, B))
+    _assert_witnesses_disjoint(rep, A, B)
+
+
+@pytest.mark.parametrize("n, pairs, seed, s", [(3, 60, 2, 6), (4, 5, 3, 4)])
+def test_exact_fill_agrees_with_scan(n, pairs, seed, s):
+    # A the sub-rose on x_1..x_{n-1}, B = f(A) for a seeded random f: the
+    # exact path finds a witness wherever the scan does, and each of its
+    # witnesses is disjoint from both by the pair descent
+    rng = random.Random(seed)
+    A = factor_class([Word(n, (i,)) for i in range(1, n)])
+    seen = {True: 0, False: 0}
+    for _ in range(pairs):
+        f, _ = random_automorphism(n, rng, length=rng.randint(6, 20))
+        B = apply_to_factor(f, A)
+        rep = fill_check(A, B)
+        assert rep.bound is None and rep.scanned is None
+        if fill_scan(A, B, s) is not None:
+            assert rep.witnesses, B
+        _assert_witnesses_disjoint(rep, A, B)
+        seen[bool(rep)] += 1
+    if n == 3:
+        assert seen[True] and seen[False]  # both answers are exercised
+
+
+def test_exact_fill_finds_witness_beyond_scan_bound():
+    # the Fibonacci map on a, c, fixing b, stretches every class disjoint
+    # from both <a,b> and <b,c> (a^+-1 b^i c^+-1 b^j) past 8 letters
+    h = Automorphism.from_strs(3, ["ac", "b", "a"]) ** 7
+    A = apply_to_factor(h, factor_from_strs(3, ["a", "b"]))
+    B = apply_to_factor(h, factor_from_strs(3, ["b", "c"]))
+    assert fill_scan(A, B, 8) is None
+    rep = fill_check(A, B)
+    assert rep and rep.bound is None
+    (W,) = rep.witnesses
+    assert len(W.gens()[0]) > 8
+    _assert_witnesses_disjoint(rep, A, B)
+
+
+def test_corank_two_pair_keeps_the_scan():
+    A = factor_from_strs(4, ["a", "b"])
+    B = factor_from_strs(4, ["c", "d"])
+    rep = fill_check(A, B, s=3)
+    assert rep.bound == 3 and 0 < rep.scanned
+    assert rep
+    _assert_witnesses_disjoint(rep, A, B)
 
 
 def test_fill_check_rejects_rank_one():

@@ -5,10 +5,11 @@
     PYTHONPATH=src python -m subfactor.cli pingpong --rank 3 --f b,ab,c \
         --g a,c,bc --m-emp 1 --d-emp 1 > tests/data/reports/pingpong.json
 
-The command exits 3: the pair <a, b>, <b, c> does not fill, so the bounded
-search is not evidence of irreducibility.  All 72 candidate orbits stop at
-the size cap, which makes the report sensitive to any change in where the
-cap fires.
+The command exits 3: the pair <a, b>, <b, c> does not fill (both factors
+have corank 1, so the fill check decides it exactly, lists its one witness
+and has no bound), and the invariant-factor search is then no evidence of
+irreducibility.  All 72 candidate orbits stop at the size cap, which makes
+the report sensitive to any change in where the cap fires.
 """
 
 from pathlib import Path
