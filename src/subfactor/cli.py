@@ -279,22 +279,24 @@ def _parse_syllables(text):
 # verification suites
 
 
-def _random_rank2_factor(rng, n=3):
-    phi, _ = random_automorphism(n, rng, length=rng.randint(2, 4))
-    return apply_to_factor(phi, factor_from_strs(n, ["a", "b"]))
+def _random_rank2_factor(rng):
+    """A seeded random automorphic image of <a, b> in F_3."""
+    phi = random_automorphism(3, rng, length=rng.randint(2, 4))
+    return apply_to_factor(phi, factor_from_strs(3, ["a", "b"]))
 
 
 def _random_graph(rng, n=3):
-    phi, _ = random_automorphism(n, rng, length=rng.randint(1, 3))
+    phi = random_automorphism(n, rng, length=rng.randint(1, 3))
     return transformed(rose(n), phi)
 
 
-def suite_farey_oracle(samples, seed, bound=None):
+def suite_farey_oracle(samples, seed):
     """Continued-fraction distance against an independent breadth-first
-    search on the Farey tessellation (neighbors of p/q are mediant moves)."""
-    bound = bound or 15
+    search to radius 30 on the Farey tessellation (neighbors of p/q are
+    mediant moves), for slopes with entries of size at most 15."""
+    bound = 15
 
-    def bfs(v, w, radius=30):
+    def bfs(v, w):
         from collections import deque
 
         start, goal = tuple(v), tuple(w)
@@ -304,7 +306,7 @@ def suite_farey_oracle(samples, seed, bound=None):
         seen = {start}
         while q:
             cur, d = q.popleft()
-            if d >= radius:
+            if d >= 30:
                 continue
             for nxt in _farey_neighbors(cur, bound * 4):
                 if nxt == goal:
@@ -383,7 +385,7 @@ def suite_trichotomy(samples, seed):
 
 
 def _random_sub(rng, n):
-    phi, _ = random_automorphism(n, rng, length=rng.randint(1, 4))
+    phi = random_automorphism(n, rng, length=rng.randint(1, 4))
     k = rng.randint(1, n - 1)
     base = factor_class([Word(n, (i,)) for i in range(1, k + 1)])
     return apply_to_factor(phi, base)
@@ -432,7 +434,7 @@ def suite_joint_embedding(samples, seed):
     while done < samples and tried < samples * 40:
         tried += 1
         n = 3
-        phi, _ = random_automorphism(n, rng, length=rng.randint(1, 3))
+        phi = random_automorphism(n, rng, length=rng.randint(1, 3))
         A = apply_to_factor(phi, factor_from_strs(n, ["a", "b"]))
         B = apply_to_factor(phi, factor_from_strs(n, ["c"]))
         G = _random_graph(rng, n)
@@ -447,9 +449,10 @@ def suite_joint_embedding(samples, seed):
     return done >= samples, {"certificates": done, "tried": tried}
 
 
-def suite_diameter(samples, seed, k=10):
-    """diam pi_A(B) for overlapping rank-2 pairs in F_3, at k and 2k
+def suite_diameter(samples, seed):
+    """diam pi_A(B) for overlapping rank-2 pairs in F_3, at 10 and 20
     sampled splittings; reports D_emp and its stability."""
+    k = 10
     rng = random.Random(seed)
     d_emp = 0
     stable = True
@@ -551,7 +554,7 @@ def suite_equivariance(samples, seed):
         if not pa or not pb:
             continue
         d0 = factor_distance(C, pa, pb)
-        phi, _ = random_automorphism(3, rng, length=2)
+        phi = random_automorphism(3, rng, length=2)
         Cp = apply_to_factor(phi, C)
         expr = Expression(Cp.gens())
         cgens = C.gens()
@@ -588,7 +591,7 @@ def suite_verdict_equivariance(samples, seed):
         n = 3
         A = _random_sub(rng, n)
         B = _random_sub(rng, n)
-        phi, _ = random_automorphism(n, rng, length=2)
+        phi = random_automorphism(n, rng, length=2)
         k0 = classify_pair(A, B).kind
         k1 = classify_pair(apply_to_factor(phi, A),
                            apply_to_factor(phi, B)).kind
@@ -605,7 +608,10 @@ def suite_xset(samples, seed):
         "members": len(xs.members), "diameter_upper": diam}
 
 
-def suite_progress(samples, seed, m_emp=3, d_emp=2):
+def suite_progress(samples, seed):
+    """The progress hypotheses on both chain windows of the shipped
+    ping-pong pair, at m_emp = 3 and d_emp = 2."""
+    m_emp, d_emp = 3, 2
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
     spec = build_pingpong(A, psi, m_emp=m_emp, d_emp=d_emp)

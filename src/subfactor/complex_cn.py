@@ -18,7 +18,7 @@ from .projection import (
     project_factor,
     split_by,
 )
-from .stallings import factor_class, is_free_factor
+from .stallings import bfs_path, factor_class, is_free_factor
 from .words import (
     Word,
     abelianize,
@@ -194,42 +194,24 @@ def x_set(A, s=8, cap=24):
 # bounded distance
 
 
-def cn_distance_bounds(u, v, s=6, pool=None, chain_links=0):
+def cn_distance_bounds(u, v, s=6, pool=None):
     """(lower, upper, path) distance bounds between two vertices.
 
-    The upper bound comes from a BFS over a bounded pool of vertices, every
-    edge decided exactly; the path of classes achieving it is returned.
-    The lower bound is 0 or 1, or chain_links when the caller has verified
-    a progress chain separating the vertices.
+    The upper bound comes from a breadth-first search over a bounded pool
+    of vertices (by default the first 30 of length <= s), every edge
+    decided exactly; the path of classes achieving it is returned.  The
+    lower bound is 0 or 1.
     """
     if u == v:
         return 0, 0, [u]
-    e = is_cn_edge(u, v)
-    if e:
+    if is_cn_edge(u, v):
         return 1, 1, [u, v]
-    lower = max(1, chain_links)
     if pool is None:
         pool = [F for F, _ in enumerate_cvertices(u.rank_ambient, s, cap=30)]
-    verts = {F.code: F for F in pool}
-    verts[u.code] = u
-    verts[v.code] = v
-    items = sorted(verts.values(), key=lambda F: F.code)
-    from collections import deque
-
-    q = deque([(u, [u])])
-    seen = {u.code}
-    while q:
-        cur, path = q.popleft()
-        for F in items:
-            if F.code in seen or F.code == cur.code:
-                continue
-            if not is_cn_edge(cur, F):
-                continue
-            if F.code == v.code:
-                return lower, len(path), path + [F]
-            seen.add(F.code)
-            q.append((F, path + [F]))
-    return lower, None, None
+    verts = {F.code: F for F in [*pool, u, v]}
+    path = bfs_path(u, v, sorted(verts.values(), key=lambda F: F.code),
+                    is_cn_edge)
+    return 1, (None if path is None else len(path) - 1), path
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,17 @@ from .projection import (
     farey_distance,
     find_disjoint_conjugator,
     project_factor,
+    slope,
 )
 from .stallings import (
     Expression,
     apply_to_factor,
     class_frame,
+    components,
     factor_class,
     incidence,
     invert_automorphism,
     is_free_factor,
-    spanning_tree,
     subgroup_graph,
 )
 from .words import (
@@ -37,8 +38,6 @@ from .words import (
     Word,
     _inverse_letters,
     _word,
-    abelianize,
-    cyclic_reduce,
     cyclic_words,
     free_reduce,
 )
@@ -135,7 +134,14 @@ def _corank1_witness(A, B, phi_b):
     need = 1 - sum(1 for x in middle if abs(x) == n)
     if need < 0:
         return None
-    home = _components(graph, n)
+    # vertex -> (root, letters of a path root -> vertex) in Gamma less its
+    # x_n edges, one spanning tree per component
+    home = {}
+    for paths, _ in components(graph.vertex_set(),
+                               [e for e in graph.edges if e[2] != n]):
+        root = min(paths)
+        for v, path in paths.items():
+            home[v] = (root, tuple(sign * x for x, sign in path))
     joins = {}
     for u, v, x in graph.edges:
         if x == n:
@@ -175,21 +181,9 @@ def _trail(step, v, letters):
     return out
 
 
-def _components(graph, n):
-    """Vertex -> (root, letters of a path root -> vertex) in the graph less
-    its x_n edges, one spanning tree per component."""
-    plain = [e for e in graph.edges if e[2] != n]
-    home = {}
-    for root in sorted(graph.vertex_set()):
-        if root not in home:
-            paths, _ = spanning_tree(root, plain)
-            for v, path in paths.items():
-                home[v] = (root, tuple(sign * x for x, sign in path))
-    return home
-
-
 def _across(home, r, s):
-    """Letters of a path r -> s inside one component (see _components)."""
+    """Letters of a path r -> s inside one component of the graph less its
+    x_n edges (see _corank1_witness)."""
     return _inverse_letters(home[r][1]) + home[s][1]
 
 
@@ -238,39 +232,30 @@ def restriction(f, A):
 # translation estimates (rank-2, Farey-exact)
 
 
-def translation_estimate(h, k_max=8):
+K_MAX = 8  # the largest power whose Farey displacement is measured
+
+
+def translation_estimate(h):
     """An upper bound on the stable translation rate of h on the Farey
     graph: the worst seed's best distance-per-power ratio d(v, h^k v)/k
-    over k <= k_max.  By subadditivity, d(v, h^(jk) v) <= j d(v, h^k v), so
+    over k <= K_MAX.  By subadditivity, d(v, h^(jk) v) <= j d(v, h^k v), so
     every such ratio is at least the stable rate lim d(v, h^k v)/k.  Zero
-    whenever h fixes one of the seed vertices."""
+    whenever h fixes one of the seed vertices.  Slopes are read off the
+    images directly, as abelianization does not see conjugation."""
     if h.rank != 2:
         raise ValueError("Farey estimates need a rank-2 automorphism")
     seeds = [Word(2, (1,)), Word(2, (2,)), Word(2, (1, 2))]
     best = None
     for seed in seeds:
-        v0 = _vec(seed)
+        v0 = slope(seed)
         cur = seed
         rate = Fraction(0)
-        for k in range(1, k_max + 1):
+        for k in range(1, K_MAX + 1):
             cur = h(cur)
-            core, _ = cyclic_reduce(cur)
-            vk = _vec(core)
-            rate = max(rate, Fraction(farey_distance(v0, vk), k))
+            rate = max(rate, Fraction(farey_distance(v0, slope(cur)), k))
         if best is None or rate < best:
             best = rate
     return best
-
-
-def _vec(w):
-    p, q = abelianize(w)
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    from math import gcd
-
-    if gcd(p, q) != 1:
-        raise ValueError("orbit left the primitive classes")
-    return (p, q)
 
 
 def choose_power(rate, m_emp, d_emp):
@@ -394,14 +379,17 @@ def _apply_capped(step, F, cap):
     return out
 
 
-def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
-                  candidate_cap=80):
+# the growth cap of pingpong_word's orbits (see _apply_capped)
+ORBIT_CAP = 400
+
+
+def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
     """Compose the syllable word in f^N, g^N and search for invariant
     factors: candidates are factor classes with core size <= core_bound,
-    orbits followed with a growth cap (an orbit abandoned at the cap was
-    growing, which is itself evidence of no return).  Alternation of
-    syllables is required, otherwise the word is conjugate to a power of
-    one letter.  Syllables act left to right on classes.
+    orbits followed with the growth cap ORBIT_CAP (an orbit abandoned at
+    the cap was growing, which is itself evidence of no return).
+    Alternation of syllables is required, otherwise the word is conjugate
+    to a power of one letter.  Syllables act left to right on classes.
 
     The cap is exact though images stop early: a prefix image under phi
     past the letters left plus Lip(phi) * floor(Lip(phi^-1) / 2) puts the
@@ -424,7 +412,7 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, cap=400,
         cur = C
         for p in range(1, powers + 1):
             for step in steps:
-                cur = _apply_capped(step, cur, cap)
+                cur = _apply_capped(step, cur, ORBIT_CAP)
                 if cur is None:
                     break
             if cur is None:
@@ -481,7 +469,12 @@ def _candidate_factors(n, core_bound, cap):
     return out
 
 
-def _growth_table(spec, samples=2, seed=0):
+# the sampled marked graphs behind each projection of the growth table
+GROWTH_SAMPLES = 2
+GROWTH_SEED = 0
+
+
+def _growth_table(spec):
     """Projection gaps behind the chain A, f^N B, f^N g^N A, ...: each
     interior gap is d_B(A, g^N A) or d_A(B, f^N B), that is d_T(X, h^N X)
     with h(T) = T (pulled back by psi^-1 to d_A(psi^-1 A, f^N psi^-1 A)
@@ -496,7 +489,7 @@ def _growth_table(spec, samples=2, seed=0):
     rows = []
     names = ("d_B(A, g^N A)", "d_A(B, f^N B)")
     for name, (T, X, h) in zip(names, (first, (spec.A, spec.B, spec.f))):
-        P = project_factor(T, X, samples=samples, seed=seed)
+        P = project_factor(T, X, samples=GROWTH_SAMPLES, seed=GROWTH_SEED)
         if not P:
             rows.append((name, None, None))
             continue
@@ -506,17 +499,15 @@ def _growth_table(spec, samples=2, seed=0):
     return rows
 
 
-def build_pingpong(A, psi, m_emp, d_emp, fib=None, fill_bound=8):
-    """Assemble a PingPongSpec from a factor A preserved by a Fibonacci-type
-    automorphism and a transforming automorphism psi with B = psi(A)."""
+def build_pingpong(A, psi, m_emp, d_emp, fill_bound=8):
+    """Assemble a PingPongSpec from a rank-2 factor A preserved by the
+    Fibonacci automorphism a -> b, b -> ab (the identity on the other
+    letters) and a transforming automorphism psi with B = psi(A)."""
     n = A.rank_ambient
-    if fib is None:
-        if A.rank != 2:
-            raise ValueError("default inner automorphism needs rank-2 A")
-        # extends a |-> b, b |-> ab on the first two letters by the identity
-        images = [Word(n, (2,)), Word(n, (1, 2))]
-        images += [Word(n, (i,)) for i in range(3, n + 1)]
-        fib = Automorphism(n, tuple(images))
+    if A.rank != 2:
+        raise ValueError("the Fibonacci automorphism needs rank-2 A")
+    fib = Automorphism(n, (Word(n, (2,)), Word(n, (1, 2)),
+                           *(Word(n, (i,)) for i in range(3, n + 1))))
     if apply_to_factor(fib, A) != A:
         raise ValueError("the base automorphism must preserve A")
     psi_inv = invert_automorphism(psi)
@@ -613,10 +604,11 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
     ]
 
 
-def _xset_grow(A, s, cap, s_max=9):
-    """x_set, retrying at larger word lengths until a member appears."""
+def _xset_grow(A, s, cap):
+    """x_set, retrying at larger word lengths, up to 9, until a member
+    appears."""
     while True:
         xs = x_set(A, s=s, cap=cap)
-        if xs.members or s >= s_max:
+        if xs.members or s >= 9:
             return xs
         s += 1

@@ -16,6 +16,7 @@ from .stallings import (
     FactorClass,
     GraphBuilder,
     StallingsGraph,
+    components,
     factor_class,
     invert_automorphism,
     is_basis,
@@ -285,17 +286,6 @@ def cover_core(A, G):
     return Immersion(factor=A, target=G, domain=b.to_graph(), eids=eids)
 
 
-def _components(vertices, edges):
-    """spanning_tree of each connected component of (vertices, edge
-    triples), rooted at its least vertex."""
-    seen = set()
-    for v in sorted(vertices):
-        if v not in seen:
-            paths, tree = spanning_tree(v, edges)
-            seen.update(paths)
-            yield paths, tree
-
-
 def _domain_paths(domain):
     """BFS (label, sign) paths from the basepoint to every domain vertex."""
     return spanning_tree(domain.basepoint, domain.edges)[0]
@@ -314,7 +304,7 @@ def one_edge_collapse_factors(imm):
     out = set()
     for cut in core.edges:
         rest = [e for e in core.edges if e != cut]
-        for tree_path, tree in _components(core.vertex_set(), rest):
+        for tree_path, tree in components(core.vertex_set(), rest):
             conj = base_paths[min(tree_path)]
             gens = []
             for u, v, label in rest:

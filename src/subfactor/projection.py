@@ -23,6 +23,7 @@ from .marked import (
 )
 from .stallings import (
     apply_to_factor,
+    bfs_path,
     class_frame,
     contained_up_to_conjugacy,
     descend,
@@ -31,6 +32,7 @@ from .stallings import (
     invert_automorphism,
     is_free_factor,
     mod2_span,
+    random_automorphism,
 )
 from .words import Automorphism, Word, abelianize, free_reduce
 
@@ -39,17 +41,22 @@ from .words import Automorphism, Word, abelianize, free_reduce
 # the Farey graph: rank-one free factors of F_2
 
 
-def primitive_vector(F):
-    """Abelianization of a rank-1 free factor of F_2 as a normalized
-    coprime pair (sign chosen so the first nonzero entry is positive)."""
-    if F.rank_ambient != 2 or F.rank != 1:
-        raise ValueError("need a rank-1 factor of F_2")
-    p, q = abelianize(F.gens()[0])
+def slope(w):
+    """Abelianization of a word of F_2 with coprime exponent sums, as a
+    normalized pair (sign chosen so the first nonzero entry is positive)."""
+    p, q = abelianize(w)
     if gcd(p, q) != 1:
         raise ValueError("not a primitive class")
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
     return (p, q)
+
+
+def primitive_vector(F):
+    """The slope of a rank-1 free factor of F_2."""
+    if F.rank_ambient != 2 or F.rank != 1:
+        raise ValueError("need a rank-1 factor of F_2")
+    return slope(F.gens()[0])
 
 
 @lru_cache(maxsize=4096)
@@ -455,12 +462,21 @@ def project_factor(A, B, samples=8, seed=0):
 # distances in factor complexes
 
 
-def factor_complex_distance(X, Y, pool_seed=0, pool_size=60, max_depth=6):
+# the seeded pool of factors that bounds distances from above for m >= 3,
+# and the depth at which its search stops
+POOL_SEED = 0
+POOL_SIZE = 60
+MAX_DEPTH = 6
+
+
+def factor_complex_distance(X, Y):
     """Distance between vertices of the free factor complex of F_m.
 
     Exact (Farey) for m = 2.  For higher rank returns (lower, upper): the
-    lower bound comes from containment certificates, the upper from a BFS
-    over a bounded pool of factors.
+    lower bound comes from containment certificates, the upper from a
+    breadth-first search to depth MAX_DEPTH over a seeded pool of factors
+    (None when it does not reach Y), whose edges join factors of different
+    ranks nested either way.
     """
     m = X.rank_ambient
     if m == 2:
@@ -470,52 +486,32 @@ def factor_complex_distance(X, Y, pool_seed=0, pool_size=60, max_depth=6):
         return (0, 0)
     if contained_up_to_conjugacy(X, Y) or contained_up_to_conjugacy(Y, X):
         return (1, 1)
-    pool = _factor_pool(m, [X, Y], seed=pool_seed, size=pool_size)
-    upper = _bfs_distance(pool, X, Y, max_depth=max_depth)
-    return (2, upper)
+    path = bfs_path(X, Y, _factor_pool(m, [X, Y]), _nested,
+                    max_depth=MAX_DEPTH)
+    return (2, None if path is None else len(path) - 1)
 
 
-def _factor_pool(m, seeds, seed, size):
-    rng = random.Random(seed)
+def _nested(F, H):
+    """Whether F and H are joined in the free factor complex: they have
+    different ranks and one lies in the other up to conjugacy."""
+    return F.rank != H.rank and (contained_up_to_conjugacy(F, H)
+                                 or contained_up_to_conjugacy(H, F))
+
+
+def _factor_pool(m, seeds):
+    """Up to POOL_SIZE factors of F_m, sorted by code: the seeds, the
+    standard sub-roses, and seeded random automorphic images of members."""
+    rng = random.Random(POOL_SEED)
     pool = set(seeds)
     for k in range(1, m):
         pool.add(factor_class([Word(m, (i,)) for i in range(1, k + 1)]))
-    from .stallings import random_automorphism
-
     tries = 0
-    while len(pool) < size and tries < size * 6:
+    while len(pool) < POOL_SIZE and tries < POOL_SIZE * 6:
         tries += 1
-        f, _ = random_automorphism(m, rng, length=3)
+        f = random_automorphism(m, rng, length=3)
         base = rng.choice(sorted(pool, key=lambda F: F.code))
         pool.add(apply_to_factor(f, base))
-    return pool
-
-
-def _bfs_distance(pool, X, Y, max_depth):
-    from collections import deque
-
-    adj = {F: [] for F in pool}
-    items = sorted(pool, key=lambda F: F.code)
-    for i, F in enumerate(items):
-        for H in items[i + 1:]:
-            if F.rank != H.rank and (
-                contained_up_to_conjugacy(F, H) or contained_up_to_conjugacy(H, F)
-            ):
-                adj[F].append(H)
-                adj[H].append(F)
-    q = deque([(X, 0)])
-    seen = {X}
-    while q:
-        F, d = q.popleft()
-        if F == Y:
-            return d
-        if d >= max_depth:
-            continue
-        for H in adj[F]:
-            if H not in seen:
-                seen.add(H)
-                q.append((H, d + 1))
-    return None
+    return sorted(pool, key=lambda F: F.code)
 
 
 def factor_distance(A, X_set, Y_set):

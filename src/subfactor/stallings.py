@@ -75,6 +75,43 @@ def spanning_tree(root, edges):
     return paths, tree
 
 
+def components(vertices, edges):
+    """spanning_tree of each connected component of (vertices, edges),
+    rooted at its least vertex, in the order of those roots."""
+    seen = set()
+    for v in sorted(vertices):
+        if v not in seen:
+            paths, tree = spanning_tree(v, edges)
+            seen.update(paths)
+            yield paths, tree
+
+
+def bfs_path(start, goal, items, adjacent, max_depth=None):
+    """A shortest path start, ..., goal in the graph on items (with start
+    and goal among them) whose edges are the pairs adjacent(x, y) accepts,
+    or None when goal is not within max_depth steps (None: any number).
+    Items are tried in their given order, and adjacent is asked only of
+    pairs that the search reaches, each at most once."""
+    if start == goal:
+        return [start]
+    seen = {start}
+    frontier = [[start]]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        nxt = []
+        for path in frontier:
+            for x in items:
+                if x in seen or not adjacent(path[-1], x):
+                    continue
+                if x == goal:
+                    return path + [x]
+                seen.add(x)
+                nxt.append(path + [x])
+        frontier = nxt
+    return None
+
+
 # ---------------------------------------------------------------------------
 # mutable builder used for folding
 
@@ -848,10 +885,9 @@ def _reduce(F):
 
 
 def random_automorphism(rank, rng, length=4):
-    """A seeded random automorphism (a short product of Whitehead moves)
-    together with its exact inverse."""
+    """A seeded random automorphism: a product of length Whitehead moves."""
     moves = whitehead_automorphisms(rank)
     phi = Automorphism.identity(rank)
     for _ in range(length):
         phi = rng.choice(moves) * phi
-    return phi, invert_automorphism(phi)
+    return phi

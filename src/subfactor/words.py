@@ -292,58 +292,53 @@ class Automorphism:
         return "[" + ",".join(word_to_str(w) for w in self.images) + "]"
 
 
+@functools.cache
 def whitehead_automorphisms(rank):
-    """All Whitehead automorphisms of F_rank, deduplicated.
-
-    Type I: signed permutations of the generators.  Type II: pick a
-    multiplier a = g^e; every other generator is replaced by one of
-    x, x*a, a^-1*x, a^-1*x*a while g itself is fixed.  Each move records
-    its cut (A, a) as ``_cut`` (None for type I): A holds a, each x with
-    x -> x*a or a^-1*x*a, and x^-1 for each x with x -> a^-1*x or a^-1*x*a.
-    """
-    if rank < 2:
-        raise ValueError("rank must be at least 2")
-    seen = {}
-
-    def add(images, cut=None):
-        key = tuple(w.letters for w in images)
-        if key not in seen:
-            seen[key] = Automorphism(rank, tuple(images))
-            object.__setattr__(seen[key], "_cut", cut)
-
+    """All Whitehead automorphisms of F_rank, deduplicated and built once
+    per rank: the signed permutations of the generators (type I, with
+    ``_cut`` None), then whitehead_type2(rank)."""
+    moves = []
     for perm in itertools.permutations(range(1, rank + 1)):
         for signs in itertools.product((1, -1), repeat=rank):
-            add([Word(rank, (s * p,)) for p, s in zip(perm, signs)])
-
-    for g in range(1, rank + 1):
-        for e in (1, -1):
-            a = Word(rank, (e * g,))
-            others = [i for i in range(1, rank + 1) if i != g]
-            for choice in itertools.product(range(4), repeat=rank - 1):
-                images = [None] * rank
-                images[g - 1] = Word(rank, (g,))
-                for i, c in zip(others, choice):
-                    x = Word(rank, (i,))
-                    if c == 0:
-                        images[i - 1] = x
-                    elif c == 1:
-                        images[i - 1] = x * a
-                    elif c == 2:
-                        images[i - 1] = ~a * x
-                    else:
-                        images[i - 1] = ~a * x * a
-                cut = {e * g}
-                cut.update(i for i, c in zip(others, choice) if c & 1)
-                cut.update(-i for i, c in zip(others, choice) if c & 2)
-                add(images, (frozenset(cut), e * g))
-
-    return list(seen.values())
+            phi = Automorphism(rank, tuple(_word(rank, (s * p,))
+                                           for p, s in zip(perm, signs)))
+            object.__setattr__(phi, "_cut", None)
+            moves.append(phi)
+    return (*moves, *whitehead_type2(rank))
 
 
 @functools.cache
 def whitehead_type2(rank):
-    """The non-identity type II Whitehead automorphisms only (used in
-    edge-count descent, where type I moves never change complexity), built
-    once per rank."""
-    return tuple(phi for phi in whitehead_automorphisms(rank)
-                 if not all(len(w) == 1 for w in phi.images))
+    """The non-identity type II Whitehead automorphisms, deduplicated (the
+    first of equal moves wins) and built once per rank; edge-count descent
+    needs only these, since type I moves never change complexity.
+
+    Pick a multiplier a = g^e; every other generator x is replaced by one
+    of x, x*a, a^-1*x, a^-1*x*a while g itself is fixed.  Each move records
+    its cut (A, a) as ``_cut``: A holds a, each x with x -> x*a or
+    a^-1*x*a, and x^-1 for each x with x -> a^-1*x or a^-1*x*a.
+    """
+    if rank < 2:
+        raise ValueError("rank must be at least 2")
+    seen = {}
+    for g in range(1, rank + 1):
+        others = [i for i in range(1, rank + 1) if i != g]
+        for a in (g, -g):
+            for choice in itertools.product(range(4), repeat=rank - 1):
+                if not any(choice):
+                    continue  # the identity, a type I move
+                images = [(i,) for i in range(1, rank + 1)]
+                for i, c in zip(others, choice):
+                    images[i - 1] = ((-a,) * (c >> 1) + (i,)
+                                     + (a,) * (c & 1))
+                key = tuple(images)
+                if key in seen:
+                    continue
+                phi = Automorphism(rank, tuple(_word(rank, w)
+                                               for w in images))
+                cut = {a}
+                cut.update(i for i, c in zip(others, choice) if c & 1)
+                cut.update(-i for i, c in zip(others, choice) if c & 2)
+                object.__setattr__(phi, "_cut", (frozenset(cut), a))
+                seen[key] = phi
+    return tuple(seen.values())

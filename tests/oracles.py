@@ -1,8 +1,11 @@
 """Independent checks that several test modules share: subgroup membership
 read off a folded graph, Farey adjacency of slopes, the Farey distance by
-recursion, the conjugator search in both directions, and the bounded
-filling scan."""
+recursion, the conjugator search in both directions, the bounded filling
+scan, the Whitehead moves filtered from all of them, and the pool search
+over a full nesting table."""
 
+import itertools
+from collections import deque
 from functools import lru_cache
 
 
@@ -106,4 +109,75 @@ def fill_scan(A, B, s):
                find_disjoint_conjugator(F, factor_class([w])) is not None
                for F, test in sides):
             return factor_class([w])
+    return None
+
+
+def whitehead_reference(rank):
+    """(all Whitehead automorphisms, the non-identity type II ones) as they
+    were built before the type II moves were generated on their own: every
+    signed permutation and every type II choice, the identity included,
+    deduplicated with the first wins, and the type II moves filtered back
+    out of the whole list."""
+    from subfactor.words import Automorphism, Word
+
+    seen = {}
+
+    def add(images, cut=None):
+        key = tuple(w.letters for w in images)
+        if key not in seen:
+            seen[key] = Automorphism(rank, tuple(images))
+            object.__setattr__(seen[key], "_cut", cut)
+
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            add([Word(rank, (s * p,)) for p, s in zip(perm, signs)])
+    for g in range(1, rank + 1):
+        for e in (1, -1):
+            a = Word(rank, (e * g,))
+            others = [i for i in range(1, rank + 1) if i != g]
+            for choice in itertools.product(range(4), repeat=rank - 1):
+                images = [None] * rank
+                images[g - 1] = Word(rank, (g,))
+                for i, c in zip(others, choice):
+                    x = Word(rank, (i,))
+                    images[i - 1] = (x, x * a, ~a * x, ~a * x * a)[c]
+                cut = {e * g}
+                cut.update(i for i, c in zip(others, choice) if c & 1)
+                cut.update(-i for i, c in zip(others, choice) if c & 2)
+                add(images, (frozenset(cut), e * g))
+    moves = list(seen.values())
+    return moves, [phi for phi in moves
+                   if not all(len(w) == 1 for w in phi.images)]
+
+
+def pool_distance(pool, X, Y, max_depth):
+    """Breadth-first distance from X to Y within max_depth steps over a
+    pool of factor classes, or None: the nesting relation (different ranks,
+    contained up to conjugacy either way) is tabulated for every pair of
+    the pool first, as the projection module did before its search asked
+    only for the pairs it reaches."""
+    from subfactor.stallings import contained_up_to_conjugacy
+
+    adj = {F: [] for F in pool}
+    items = sorted(pool, key=lambda F: F.code)
+    for i, F in enumerate(items):
+        for H in items[i + 1:]:
+            if F.rank != H.rank and (
+                contained_up_to_conjugacy(F, H)
+                or contained_up_to_conjugacy(H, F)
+            ):
+                adj[F].append(H)
+                adj[H].append(F)
+    q = deque([(X, 0)])
+    seen = {X}
+    while q:
+        F, d = q.popleft()
+        if F == Y:
+            return d
+        if d >= max_depth:
+            continue
+        for H in adj[F]:
+            if H not in seen:
+                seen.add(H)
+                q.append((H, d + 1))
     return None

@@ -1,7 +1,9 @@
-"""The shared graph walks of ``stallings`` (``spanning_tree``, ``find``)
-and their callers, against independent copies: the breadth-first search
-that ``stallings``, ``marked`` and the collapse code each used to carry,
-and a plain depth-first component count for spanning forests."""
+"""The shared graph walks of ``stallings`` (``spanning_tree``,
+``components``, ``bfs_path``, ``find``) and their callers, against
+independent copies: the breadth-first search that ``stallings``,
+``marked`` and the collapse code each used to carry, a plain depth-first
+component count for forests and components, and distances by repeated
+relaxation for shortest paths."""
 
 import random
 
@@ -21,6 +23,8 @@ from subfactor.stallings import (
     Expression,
     apply_to_factor,
     basis,
+    bfs_path,
+    components,
     factor_class,
     factor_from_strs,
     random_automorphism,
@@ -88,7 +92,7 @@ def random_marked_graph(rng, rank):
 def seeded_factors(rank, count, seed):
     rng = random.Random(seed)
     for _ in range(count):
-        phi, _ = random_automorphism(rank, rng, length=rng.randint(1, 4))
+        phi = random_automorphism(rank, rng, length=rng.randint(1, 4))
         k = rng.randint(2, rank) if rank > 2 else 2
         base = factor_from_strs(rank, "abcd"[:k])
         yield apply_to_factor(phi, base)
@@ -177,7 +181,7 @@ def test_cover_walks_match_reference_tree(rank):
     rng = random.Random(300 + rank)
     seen_collapses = 0
     for i, A in enumerate(seeded_factors(rank, 6, seed=rank)):
-        phi, _ = random_automorphism(rank, rng, length=rng.randint(1, 3))
+        phi = random_automorphism(rank, rng, length=rng.randint(1, 3))
         B = factor_from_strs(rank, ["a"])
         graphs = [transformed(rose(rank), phi)]
         graphs += sample_graphs_with_embedded(B, samples=3, seed=i)[1:]
@@ -239,3 +243,61 @@ def test_spanning_forest_spans_through_forced_edges():
         # a forest (no cycles) with the components of the whole graph
         assert component_count(vs, tree) == len(vs) - len(tree)
         assert component_count(vs, tree) == component_count(vs, edges)
+
+
+def test_components_cover_each_component_once():
+    rng = random.Random(8)
+    for _ in range(100):
+        vs = set(rng.sample(range(30), rng.randint(1, 8)))
+        order = sorted(vs)
+        edges = [(rng.choice(order), rng.choice(order), k)
+                 for k in range(rng.randint(0, 8))]
+        parts = list(components(vs, edges))
+        assert len(parts) == component_count(vs, edges)
+        roots = [min(paths) for paths, _ in parts]
+        assert roots == sorted(roots)
+        assert sorted(v for paths, _ in parts for v in paths) == order
+        for paths, tree in parts:
+            assert paths[min(paths)] == []
+            assert (paths, tree) == spanning_tree(min(paths), edges)
+
+
+def relaxed_distances(items, adjacent, start):
+    """Distances from start by relaxing every pair until nothing changes."""
+    dist = {start: 0}
+    changed = True
+    while changed:
+        changed = False
+        for x in items:
+            for y in items:
+                if x in dist and adjacent(x, y) and dist[x] + 1 < dist.get(
+                        y, len(items)):
+                    dist[y] = dist[x] + 1
+                    changed = True
+    return dist
+
+
+def test_bfs_path_is_shortest_and_asks_each_pair_once():
+    rng = random.Random(9)
+    for _ in range(150):
+        items = list(range(rng.randint(1, 12)))
+        rng.shuffle(items)
+        edges = {frozenset(rng.sample(items, 2)) for _ in range(
+            rng.randint(0, 20)) if len(items) > 1}
+        start, goal = rng.choice(items), rng.choice(items)
+        depth = rng.choice([None, 1, 2, 3])
+        asked = []
+
+        def adjacent(x, y):
+            asked.append((x, y))
+            return frozenset((x, y)) in edges
+
+        path = bfs_path(start, goal, items, adjacent, max_depth=depth)
+        assert len(asked) == len(set(asked))
+        d = relaxed_distances(items, lambda x, y: frozenset((x, y)) in edges,
+                              start).get(goal)
+        if d is None or (depth is not None and d > depth):
+            assert path is None
+            continue
+        assert path[0] == start and path[-1] == goal and len(path) == d + 1
+        assert all(frozenset(p) in edges for p in zip(path, path[1:]))

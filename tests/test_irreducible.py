@@ -126,7 +126,7 @@ def test_exact_fill_agrees_with_scan(n, pairs, seed, s):
     A = factor_class([Word(n, (i,)) for i in range(1, n)])
     seen = {True: 0, False: 0}
     for _ in range(pairs):
-        f, _ = random_automorphism(n, rng, length=rng.randint(6, 20))
+        f = random_automorphism(n, rng, length=rng.randint(6, 20))
         B = apply_to_factor(f, A)
         rep = fill_check(A, B)
         assert rep.bound is None and rep.scanned is None

@@ -12,6 +12,7 @@ from subfactor.projection import (
     classify_pair,
     colors_meet,
     factor_distance,
+    factor_complex_distance,
     farey_distance,
     farey_distance_classes,
     find_disjoint_conjugator,
@@ -36,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (  # noqa: E402
     dist_to_infinity,
     farey_adjacent,
+    pool_distance,
     splits_both_ways,
 )
 
@@ -308,6 +310,26 @@ def test_project_graph_rose():
         assert F.rank_ambient == A.rank
 
 
+def test_pool_search_matches_full_nesting_table():
+    # the members of two projections to A = <a,b,c> in F_4 live in the
+    # factor complex of F_3, where the upper bound is a pool search
+    A = factor_from_strs(4, ["a", "b", "c"])
+    uppers = []
+    for b in (["ab", "d"], ["b", "acd"]):
+        members = sorted(project_factor(A, factor_from_strs(4, b)),
+                         key=lambda F: F.code)
+        for i, X in enumerate(members):
+            for Y in members[i + 1:]:
+                lo, hi = factor_complex_distance(X, Y)
+                if lo == 1:
+                    continue
+                pool = projection._factor_pool(3, [X, Y])
+                assert len(pool) == projection.POOL_SIZE
+                assert hi == pool_distance(pool, X, Y, projection.MAX_DEPTH)
+                uppers.append(hi)
+    assert set(uppers) == {None, 2, 3, 4}
+
+
 def test_behrstock_worked_example():
     A = factor_from_strs(3, ["a", "b"])
     B = factor_from_strs(3, ["b", "c"])
@@ -322,13 +344,13 @@ def test_behrstock_random_triples_bounded():
     base = factor_from_strs(3, ["a", "b"])
     done = 0
     while done < 10:
-        f1, _ = random_automorphism(3, rng, length=2)
-        f2, _ = random_automorphism(3, rng, length=2)
+        f1 = random_automorphism(3, rng, length=2)
+        f2 = random_automorphism(3, rng, length=2)
         A = apply_to_factor(f1, base)
         B = apply_to_factor(f2, base)
         if A == B:
             continue
-        g, _ = random_automorphism(3, rng, length=2)
+        g = random_automorphism(3, rng, length=2)
         G = transformed(rose(3), g)
         try:
             _, _, min_upper = behrstock_check(A, B, G, samples=5, seed=done)

@@ -32,9 +32,12 @@ REPORTS = {
     # an overlap that only peak reduction of the pair decides
     "classify-joint-minimal": ["classify", "--rank", "3", "--a", "ba",
                                "--b", "BaB"],
+    # a rank-3 A, whose diameter interval comes from the pool search
+    "project-rank4": ["project", "--rank", "4", "--a", "a,b,c",
+                      "--b", "ab,d"],
 }
 for suite in ("trichotomy", "xset", "joint-embedding", "near-embedded",
-              "equivariance", "diameter", "behrstock", "progress"):
+              "equivariance", "diameter", "behrstock", "progress", "bgit"):
     REPORTS[f"verify-{suite}"] = ["verify", "--suite", suite]
 
 

@@ -289,9 +289,17 @@ def test_invert_automorphism():
     assert [word_to_str(x) for x in inv.images] == ["aB", "b"]
     assert (phi * inv).is_identity() and (inv * phi).is_identity()
 
+    # products of Whitehead moves, as random_automorphism draws them, with
+    # the inverse known move by move
+    moves = whitehead_automorphisms(3)
     rng = random.Random(11)
     for _ in range(20):
-        f, known_inv = random_automorphism(3, rng)
+        f = known_inv = Automorphism.identity(3)
+        for _ in range(4):
+            move = rng.choice(moves)
+            f = move * f
+            known_inv = known_inv * next(
+                g for g in moves if (move * g).is_identity())
         inv = invert_automorphism(f)
         assert (f * inv).is_identity()
         assert inv.images == known_inv.images
@@ -401,7 +409,7 @@ def test_strict_local_minimum_is_orbit_minimal(rank, base):
     rng = random.Random(11)
     minima = []
     for _ in range(3):
-        phi, _ = random_automorphism(rank, rng, length=6)
+        phi = random_automorphism(rank, rng, length=6)
         minima.append(strict_descent(
             apply_to_factor(phi, factor_from_strs(rank, base))))
     assert len({F.code for F in minima}) > 1
@@ -417,7 +425,7 @@ def test_free_factor_respects_automorphisms():
     rng = random.Random(5)
     A = factor_from_strs(3, ["a", "b"])
     for _ in range(10):
-        f, _ = random_automorphism(3, rng)
+        f = random_automorphism(3, rng)
         assert is_free_factor(apply_to_factor(f, A)).is_factor
 
 
@@ -494,7 +502,7 @@ def seeded_classes(rng, rank, count):
             F = factor_from_strs(rank, ["abABa"] if rank == 2
                                  else ["a", "bcBCb"])
         if pick or rng.random() < 0.5:
-            phi, _ = random_automorphism(rank, rng, length=rng.randint(1, 6))
+            phi = random_automorphism(rank, rng, length=rng.randint(1, 6))
             F = apply_to_factor(phi, F)
         out.append(F)
     return out

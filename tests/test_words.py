@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,9 @@ from subfactor.words import (
     word_from_str,
     word_to_str,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import whitehead_reference  # noqa: E402
 
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12)
@@ -169,7 +174,8 @@ def test_word_power_matches_repeated_product(ws, n):
 def test_automorphism_kernel_matches_reference(rank):
     rng = random.Random(rank)
     for _ in range(6):
-        phi, inv = random_automorphism(rank, rng, length=rng.randint(1, 6))
+        phi = random_automorphism(rank, rng, length=rng.randint(1, 6))
+        inv = invert_automorphism(phi)
         for _ in range(8):
             w = reduce(rank, [rng.choice((1, -1)) * rng.randint(1, rank)
                               for _ in range(rng.randint(0, 20))])
@@ -200,6 +206,7 @@ def test_cancellation_is_bounded(rank):
     rng = random.Random(10 + rank)
     autos = [random_automorphism(rank, rng, length=rng.randint(2, 8))
              for _ in range(8)]
+    autos = [(phi, invert_automorphism(phi)) for phi in autos]
     if rank == 3:
         psi = Automorphism.from_strs(3, list(FILLING_PSI))
         autos.append((psi, invert_automorphism(psi)))
@@ -228,6 +235,17 @@ def test_whitehead_type2_built_once():
     moves = whitehead_type2(3)
     assert isinstance(moves, tuple) and moves is whitehead_type2(3)
     assert not any(all(len(w) == 1 for w in phi.images) for phi in moves)
+    every = whitehead_automorphisms(3)
+    assert isinstance(every, tuple) and every is whitehead_automorphisms(3)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_whitehead_moves_match_filtered_reference(rank):
+    every, type2 = whitehead_reference(rank)
+    for got, want in ((whitehead_automorphisms(rank), every),
+                      (whitehead_type2(rank), type2)):
+        assert [phi.images for phi in got] == [phi.images for phi in want]
+        assert [phi._cut for phi in got] == [phi._cut for phi in want]
 
 
 def test_automorphism_apply_and_compose():
