@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .complex_cn import (
     chain_progress_verify,
@@ -68,14 +67,15 @@ CACHE_ENV = "SUBFACTOR_CACHE"
 FILLING_PSI = ("bcAcbbcAcBCaCCBCaCBBCaCB", "BCaCCCB", "bcAcbbcAc")
 
 
-@dataclass
 class Config:
-    seed: int = 0
-    complexity_bound: int = 8
-    samples: int = 8
-    powers: int = 6
-    factor_size: int = 8
-    cache_path: str = None
+    def __init__(self, seed=0, complexity_bound=8, samples=8, powers=6,
+                 factor_size=8, cache_path=None):
+        self.seed = seed
+        self.complexity_bound = complexity_bound
+        self.samples = samples
+        self.powers = powers
+        self.factor_size = factor_size
+        self.cache_path = cache_path
 
 
 BUDGETS = ("complexity_bound", "samples", "powers", "factor_size")

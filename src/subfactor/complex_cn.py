@@ -9,18 +9,17 @@ infinite, so only enumeration is bounded, by cyclic word length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .projection import (
     factor_distance,
     find_disjoint_conjugator,
     project_factor,
+    restriction,
     split_by,
 )
-from .stallings import bfs_path, factor_class, is_free_factor
+from .stallings import apply_to_factor, bfs_path, factor_class, is_free_factor
 from .words import (
-    Word,
     abelianize,
     cyclic_reduce,
     cyclic_words,
@@ -46,11 +45,12 @@ def cvertex(w):
     return factor_class([w])
 
 
-@dataclass(eq=False)
 class EdgeResult:
-    connected: bool
-    conjugator: Word = None
     certified = True  # a conjugator, or the exact decision that none exists
+
+    def __init__(self, connected, conjugator=None):
+        self.connected = connected
+        self.conjugator = conjugator
 
     def __bool__(self):
         return self.connected
@@ -132,11 +132,18 @@ def corank1_tester(A, phi=None):
     return test
 
 
-@dataclass(eq=False)
 class XSet:
-    factor: object  # FactorClass A
-    complexity_bound: int
-    members: list = field(default_factory=list)  # (vertex, conjugator)
+    """The members (vertex, conjugator) found disjoint from the factor A.
+    A set moved by translate_xset records its source set and the
+    automorphism it moved along; an enumerated set has neither."""
+
+    def __init__(self, factor, complexity_bound, members=None, source=None,
+                 along=None):
+        self.factor = factor
+        self.complexity_bound = complexity_bound
+        self.members = [] if members is None else members
+        self.source = source
+        self.along = along
 
     def vertices(self):
         return [v for v, _ in self.members]
@@ -218,14 +225,14 @@ def cn_distance_bounds(u, v, s=6, pool=None):
 # chain progress
 
 
-@dataclass(eq=False)
 class ChainReport:
     # on success every geodesic between the end X-sets meets all the
     # intermediate ones, so the chain length is a distance lower bound
-    ok: bool
-    links: int
-    failures: list
-    details: list
+    def __init__(self, ok, links, failures, details):
+        self.ok = ok
+        self.links = links
+        self.failures = failures
+        self.details = details
 
 
 def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,
@@ -238,9 +245,16 @@ def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,
 
     Callers holding certified X-sets already (for instance translated along
     an automorphism orbit, where direct enumeration finds no short members)
-    can pass them as xsets, aligned with factors.  conj_len is accepted and
-    ignored: X-set membership is decided exactly, and bench/workloads.py
-    still passes the keyword."""
+    can pass them as xsets, aligned with factors.  A neighbour set moved by
+    translate_xset along an h with h(A_i) = A_i is projected by
+    equivariance, pi_{h A}(h X) = h . pi_A(X) (Bestvina-Feighn, Subfactor
+    projections, J. Topology 2014, extended in A note on subfactor
+    projections, arXiv:1307.1495): its source's first member is projected,
+    once per source, and the result is moved by the restriction of h to
+    A_i.  The gap is then read off samples of the source's member rather
+    than of its stretched image, so it is another sampled lower bound.
+    conj_len is accepted and ignored: X-set membership is decided exactly,
+    and bench/workloads.py still passes the keyword."""
     if len(factors) < 2:
         raise ValueError("need at least two factors")
     failures = []
@@ -256,16 +270,27 @@ def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,
         if shared:
             failures.append((i, "X-sets share a vertex"))
         details.append(("disjoint-xsets", i, len(shared)))
+    projected = {}  # id of a source X-set -> its first member's projection
+
+    def project(A, xs):
+        h = xs.along
+        if h is None or apply_to_factor(h, A) != A:
+            return project_factor(A, xs.vertices()[0], samples=samples,
+                                  seed=seed)
+        key = (id(xs.source), A)
+        if key not in projected:
+            projected[key] = project_factor(A, xs.source.vertices()[0],
+                                            samples=samples, seed=seed)
+        r = restriction(h, A)[0]
+        return {apply_to_factor(r, F) for F in projected[key]}
+
     for i in range(1, len(factors) - 1):
         A = factors[i]
-        prev_members = xsets[i - 1].vertices()
-        next_members = xsets[i + 1].vertices()
-        if not prev_members or not next_members:
+        if not xsets[i - 1].members or not xsets[i + 1].members:
             failures.append((i, "empty X-set sample"))
             continue
-        x_prev, x_next = prev_members[0], next_members[0]
-        pa = project_factor(A, x_prev, samples=samples, seed=seed)
-        pb = project_factor(A, x_next, samples=samples, seed=seed)
+        pa = project(A, xsets[i - 1])
+        pb = project(A, xsets[i + 1])
         if not pa or not pb:
             failures.append((i, "empty projection"))
             continue

@@ -1,8 +1,8 @@
 """Ping-pong construction of candidate fully irreducible automorphisms:
 filling checks for factor pairs (exact when both factors have corank 1, a
-bounded scan of cyclic words otherwise), exact restriction of a
-factor-preserving automorphism, Farey translation estimates, and bounded
-evidence searches for invariant factors.
+bounded scan of cyclic words otherwise), Farey translation estimates, the
+chain windows with their X-sets, and bounded evidence searches for
+invariant factors.
 
 Nothing here proves full irreducibility; negative certificates (an explicit
 invariant factor, or a class disjoint from both factors) are exact, and
@@ -11,7 +11,6 @@ positive support is an exhausted bounded search for invariant factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complex_cn import XSet, corank1_tester, enumerate_cvertices, x_set
@@ -20,6 +19,7 @@ from .projection import (
     farey_distance,
     find_disjoint_conjugator,
     project_factor,
+    restriction,
     slope,
 )
 from .stallings import (
@@ -47,12 +47,13 @@ from .words import (
 # filling
 
 
-@dataclass(eq=False)
 class FillReport:
-    witnesses: list  # a rank-1 class disjoint from both factors, or none
-    bound: int = None  # the scan's word length; None when decided exactly
-    scanned: int = None  # words the scan tried; None when decided exactly
     inconclusive = 0  # every candidate is decided exactly
+
+    def __init__(self, witnesses, bound=None, scanned=None):
+        self.witnesses = witnesses  # a rank-1 class disjoint from both, or none
+        self.bound = bound  # the scan's word length; None when decided exactly
+        self.scanned = scanned  # words the scan tried; None when exact
 
     def __bool__(self):
         return bool(self.witnesses)
@@ -205,30 +206,6 @@ def _pair_orbit(step, q, p):
 
 
 # ---------------------------------------------------------------------------
-# restriction
-
-
-def restriction(f, A):
-    """The induced automorphism of A's free group when f(A) = A as classes.
-
-    The conjugator is found exactly: the canonical basepoint of the folded
-    graph of f(A) reads off d with f(A_0) = d A_0 d^{-1}, no search needed.
-    Returns (automorphism of F_rank(A), conjugator d).
-    """
-    if apply_to_factor(f, A) != A:
-        raise ValueError("f does not preserve A as a conjugacy class")
-    d = class_frame([f(w) for w in A.gens()])
-    expr = Expression(A.gens())
-    images = []
-    for w in A.gens():
-        img = expr.express(~d * f(w) * d)
-        if img is None:
-            raise RuntimeError("conjugated image fell outside A (marking bug)")
-        images.append(img)
-    return Automorphism(A.rank, tuple(images)), d
-
-
-# ---------------------------------------------------------------------------
 # translation estimates (rank-2, Farey-exact)
 
 
@@ -294,16 +271,16 @@ def syllable_reduce(syllables):
 # ping-pong
 
 
-@dataclass(eq=False)
 class PingPongSpec:
-    f: Automorphism
-    g: Automorphism
-    A: object  # FactorClass
-    B: object
-    N: int
-    psi: Automorphism = None  # carries A to B when known (g = psi f psi^-1)
-    psi_inv: Automorphism = None
-    fill: FillReport = None
+    def __init__(self, f, g, A, B, N, psi=None, psi_inv=None, fill=None):
+        self.f = f
+        self.g = g
+        self.A = A  # FactorClass
+        self.B = B
+        self.N = N
+        self.psi = psi  # carries A to B when known (g = psi f psi^-1)
+        self.psi_inv = psi_inv
+        self.fill = fill  # FillReport
 
     def _once(self, name, make):
         """The attribute name, set to make(self) on first use."""
@@ -341,13 +318,14 @@ class PingPongSpec:
         return True
 
 
-@dataclass(eq=False)
 class IrreducibilityEvidence:
-    syllables: list
-    invariant_factor: object = None  # (FactorClass, power) when found
-    growth_table: list = field(default_factory=list)
-    capped: int = 0  # candidate orbits abandoned at the size cap
-    candidates: int = 0
+    def __init__(self, syllables, invariant_factor=None, growth_table=None,
+                 capped=0, candidates=0):
+        self.syllables = syllables
+        self.invariant_factor = invariant_factor  # (FactorClass, power)
+        self.growth_table = [] if growth_table is None else growth_table
+        self.capped = capped  # candidate orbits abandoned at the size cap
+        self.candidates = candidates
 
 
 def _apply_capped(step, F, cap):
@@ -387,7 +365,9 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
     """Compose the syllable word in f^N, g^N and search for invariant
     factors: candidates are factor classes with core size <= core_bound,
     orbits followed with the growth cap ORBIT_CAP (an orbit abandoned at
-    the cap was growing, which is itself evidence of no return).
+    the cap was growing, which is itself evidence of no return).  The
+    candidates and every orbit step are computed once per spec, so words
+    that share a syllable, such as f g and f g^-1, follow it once.
     Alternation of syllables is required, otherwise the word is conjugate
     to a power of one letter.  Syllables act left to right on classes.
 
@@ -403,16 +383,24 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
     for (s1, _), (s2, _) in zip(syl, syl[1:]):
         if s1 == s2:
             raise ValueError("syllables must alternate")
-    steps = _syllable_steps(spec, syl)
-    candidates = _candidate_factors(spec.A.rank_ambient, core_bound,
-                                    candidate_cap)
+    steps = list(zip(syl, _syllable_steps(spec, syl)))
+    candidates = spec._once(
+        f"_candidates_{core_bound}_{candidate_cap}",
+        lambda spec: _candidate_factors(spec.A.rank_ambient, core_bound,
+                                        candidate_cap))
+    # (syllable, exact core) -> its capped image; keyed on the core with
+    # its vertex ids, as gens() reads them through the spanning tree
+    images = spec._once("_orbit_images", lambda spec: {})
     capped = 0
     invariant = None
     for C in candidates:
         cur = C
         for p in range(1, powers + 1):
-            for step in steps:
-                cur = _apply_capped(step, cur, ORBIT_CAP)
+            for syllable, step in steps:
+                key = (syllable, cur.core)
+                if key not in images:
+                    images[key] = _apply_capped(step, cur, ORBIT_CAP)
+                cur = images[key]
                 if cur is None:
                     break
             if cur is None:
@@ -574,14 +562,17 @@ def translate_xset(xs, h):
     """Transport a certified X-set along an automorphism: X_{h(A)} = h(X_A)
     member by member, with the splitting conjugators corrected into the
     canonical frames of the image classes.  This sidesteps enumeration,
-    which finds nothing when h stretches every short disjoint class."""
+    which finds nothing when h stretches every short disjoint class.  The
+    image records xs as its source and h as the automorphism it moved
+    along, so chain_progress_verify can project xs in place of it."""
     e = class_frame([h(w) for w in xs.factor.gens()])
     members = []
     for v, c in xs.members:
         imgs = [h(w) for w in v.gens()]
         d = class_frame(imgs)
         members.append((factor_class(imgs), ~e * h(c) * d))
-    return XSet(apply_to_factor(h, xs.factor), xs.complexity_bound, members)
+    return XSet(apply_to_factor(h, xs.factor), xs.complexity_bound, members,
+                source=xs, along=h)
 
 
 def window_xsets(spec, s=5, cap=6, conj_len=3):
@@ -589,19 +580,27 @@ def window_xsets(spec, s=5, cap=6, conj_len=3):
     enumerated directly; every end factor is an automorphic image of A, so
     its set is transported with translate_xset (direct enumeration finds
     nothing once the translates stretch the short disjoint classes).
-    Returns None when no psi is known (the untranslated windows enumerate
-    their own sets).  conj_len is accepted and ignored: X-set membership
-    is decided exactly, and bench/workloads.py still passes the keyword."""
+
+    Each end set is moved in two stages: first by psi^-1 (first window) or
+    psi (second window), to Y = X_{psi^-1 A} or X_B, then by the shift f^-k
+    or f^(N-k), which preserves the middle factor A.  By equivariance, pi_{phi A}(phi X) = phi .
+    pi_A(X) (Bestvina-Feighn, Subfactor projections, J. Topology 2014,
+    extended in A note on subfactor projections, arXiv:1307.1495), so with
+    phi the shift the chain check projects Y's small members and moves the
+    result by the restriction of the shift to A, instead of projecting the
+    stretched members.  Returns None when no psi is known (the
+    untranslated windows enumerate their own sets).  conj_len is accepted
+    and ignored: X-set membership is decided exactly, and
+    bench/workloads.py still passes the keyword."""
     if spec.psi is None:
         return None
     fk, fmk = spec.shifts()
     xa = _xset_grow(spec.A, s, cap)
-    return [
-        [translate_xset(xa, fmk * spec.psi_inv), xa,
-         translate_xset(xa, fk * spec.psi_inv)],
-        [translate_xset(xa, fmk * spec.psi), xa,
-         translate_xset(xa, fk * spec.psi)],
-    ]
+    rows = []
+    for to_end in (spec.psi_inv, spec.psi):
+        y = translate_xset(xa, to_end)
+        rows.append([translate_xset(y, fmk), xa, translate_xset(y, fk)])
+    return rows
 
 
 def _xset_grow(A, s, cap):

@@ -8,14 +8,11 @@ JSON (identity on tree edges) is one gauge of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .stallings import (
     Expression,
-    FactorClass,
     GraphBuilder,
-    StallingsGraph,
     components,
     factor_class,
     invert_automorphism,
@@ -30,14 +27,11 @@ class MarkingError(ValueError):
     pass
 
 
-@dataclass(eq=False)
 class MarkedGraph:
-    rank: int
-    edges: tuple  # sorted (eid, u, v)
-    marking: dict  # eid -> Word
-
-    def __post_init__(self):
-        self.edges = tuple(sorted(self.edges))
+    def __init__(self, rank, edges, marking):
+        self.rank = rank
+        self.edges = tuple(sorted(edges))  # (eid, u, v)
+        self.marking = marking  # eid -> Word
         for eid, _, _ in self.edges:
             if eid not in self.marking:
                 raise MarkingError(f"edge {eid} has no marking word")
@@ -215,7 +209,6 @@ class PathTranslator:
 # covers
 
 
-@dataclass(eq=False)
 class Immersion:
     """The core of the A-cover of G with its immersion p: A|G -> G.
 
@@ -223,10 +216,11 @@ class Immersion:
     for the k-th edge of G in eid order.
     """
 
-    factor: FactorClass
-    target: MarkedGraph
-    domain: StallingsGraph  # based
-    eids: tuple
+    def __init__(self, factor, target, domain, eids):
+        self.factor = factor  # FactorClass
+        self.target = target  # MarkedGraph
+        self.domain = domain  # based StallingsGraph
+        self.eids = eids
 
     def eid_of_label(self, k):
         return self.eids[k - 1]

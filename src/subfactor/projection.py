@@ -1,5 +1,6 @@
 """Subfactor projections: exact Farey distances in rank 2, the projection
-pi_A(B) of one free factor into the factor complex of another, the exact
+pi_A(B) of one free factor into the factor complex of another with the
+restriction that moves it along an A-preserving automorphism, the exact
 disjointness decision with its splitting certificates, jointly-embedded
 marked graphs, classification of factor pairs, and the Behrstock-style
 consistency check.
@@ -8,12 +9,10 @@ consistency check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .marked import (
-    Immersion,
     MarkedGraph,
     MarkingError,
     adapted_rose,
@@ -22,6 +21,7 @@ from .marked import (
     transformed,
 )
 from .stallings import (
+    Expression,
     apply_to_factor,
     bfs_path,
     class_frame,
@@ -121,12 +121,12 @@ def farey_distance_classes(F1, F2):
 # double-covered edges and near-embeddings
 
 
-@dataclass(eq=False)
 class OmegaData:
-    immersion: Immersion
-    omega_eids: frozenset  # target edges covered at least twice
-    omega_tilde: tuple  # their preimage edges in the domain core
-    eb: tuple = None  # domain edges over an embedded B-subgraph, if given
+    def __init__(self, immersion, omega_eids, omega_tilde, eb=None):
+        self.immersion = immersion  # Immersion
+        self.omega_eids = omega_eids  # target edges covered at least twice
+        self.omega_tilde = omega_tilde  # their preimage edges in the core
+        self.eb = eb  # domain edges over an embedded B-subgraph, if given
 
     def is_nearly_embedded(self):
         core = self.immersion.core()
@@ -179,14 +179,14 @@ def near_embedding(A, G):
 # jointly embedded certificates
 
 
-@dataclass(eq=False)
 class DisjointWitness:
     """A marked graph containing edge-disjoint embedded subgraphs whose
     classes are A and B."""
 
-    graph: MarkedGraph
-    a_eids: frozenset
-    b_eids: frozenset
+    def __init__(self, graph, a_eids, b_eids):
+        self.graph = graph  # MarkedGraph
+        self.a_eids = a_eids
+        self.b_eids = b_eids
 
     def verify(self, A, B):
         self.graph.validate()
@@ -458,6 +458,27 @@ def project_factor(A, B, samples=8, seed=0):
     return out
 
 
+def restriction(f, A):
+    """The induced automorphism of A's free group when f(A) = A as classes.
+
+    The conjugator is found exactly: the canonical basepoint of the folded
+    graph of f(A) reads off d with f(A_0) = d A_0 d^{-1}, no search needed.
+    Returns (automorphism r of F_rank(A), conjugator d); projections move
+    along f by r, pi_A(f X) = r . pi_A(X), in A's frame.
+    """
+    if apply_to_factor(f, A) != A:
+        raise ValueError("f does not preserve A as a conjugacy class")
+    d = class_frame([f(w) for w in A.gens()])
+    expr = Expression(A.gens())
+    images = []
+    for w in A.gens():
+        img = expr.express(~d * f(w) * d)
+        if img is None:
+            raise RuntimeError("conjugated image fell outside A (marking bug)")
+        images.append(img)
+    return Automorphism(A.rank, tuple(images)), d
+
+
 # ---------------------------------------------------------------------------
 # distances in factor complexes
 
@@ -534,14 +555,15 @@ def factor_distance(A, X_set, Y_set):
 # classification
 
 
-@dataclass(eq=False)
 class Classification:
-    kind: str  # "contained_in", "contains", "disjoint" or "overlap"
-    detail: str = ""
-    witness: DisjointWitness = None
     # every verdict is decided: by containment, by a verified splitting, by
     # an obstruction, or by peak reduction of the pair
     certified = True
+
+    def __init__(self, kind, detail="", witness=None):
+        self.kind = kind  # "contained_in", "contains", "disjoint", "overlap"
+        self.detail = detail
+        self.witness = witness  # DisjointWitness
 
     def to_json(self):
         d = {"verdict": self.kind, "certified": self.certified,

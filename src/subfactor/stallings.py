@@ -18,7 +18,6 @@ from .words import (
     _inverse_letters,
     _join,
     _word,
-    free_reduce,
     whitehead_automorphisms,
     whitehead_type2,
     word_from_str,
@@ -185,7 +184,13 @@ class GraphBuilder:
     def fold(self):
         """Fold to completion, near-linearly: a union-find over vertices
         with a worklist of vertices to recheck.  With provenance, gauge
-        moves keep every basepoint loop reading correct."""
+        moves keep every basepoint loop reading correct.
+
+        The builder must hold a bouquet of freely reduced loops at the
+        basepoint, as every caller builds it.  An interior vertex of such a
+        loop has no foldable pair until a fold merges it, and every merge
+        puts its vertex back on the worklist, so the worklist starts from
+        the basepoint alone."""
         parent = {v: v for v in self.vertices}
         incident = {v: set() for v in self.vertices}
         for e, rec in self.edges.items():
@@ -193,7 +198,7 @@ class GraphBuilder:
             incident[rec[1]].add(e)
         self._incident = incident
         self._parent = parent
-        pending = list(self.vertices)
+        pending = [self.basepoint]
         while pending:
             v = pending.pop()
             if find(parent, v) != v:
@@ -345,8 +350,9 @@ class StallingsGraph:
         return b.to_graph()
 
 
-def subgroup_graph(gens):
-    """Folded based core graph of the subgroup generated by `gens`."""
+def _folded(gens):
+    """The folded builder of the bouquet of loops spelling `gens` at
+    vertex 0, the basepoint."""
     gens = list(gens)
     if not gens:
         raise TrivialSubgroupError("no generators")
@@ -356,21 +362,38 @@ def subgroup_graph(gens):
     if all(not w for w in gens):
         raise TrivialSubgroupError("trivial subgroup")
     b = GraphBuilder(rank)
-    base = b.new_vertex()
-    b.basepoint = base
+    b.basepoint = b.new_vertex()
     for w in gens:
-        b.add_loop_word(base, w)
+        b.add_loop_word(b.basepoint, w)
     b.fold()
+    return b
+
+
+def subgroup_graph(gens):
+    """Folded based core graph of the subgroup generated by `gens`."""
+    b = _folded(gens)
     b.trim(keep_basepoint=True)
     return b.to_graph()
 
 
 def _tree_data(graph):
     """spanning_tree from the basepoint, with each path read as the word
-    it spells.  Returns (path, tree_edges)."""
+    it spells.  Returns (path, tree_edges).
+
+    Each vertex's letters extend its tree parent's, in BFS order.  A tree
+    path never backtracks, so in a folded graph it spells a reduced word."""
     paths, tree = spanning_tree(graph.basepoint, graph.edges)
-    path = {x: _word(graph.rank, free_reduce(s * label for label, s in p))
-            for x, p in paths.items()}
+    out = graph.out_map()
+    inn = graph.in_map()
+    letters = {}
+    for x, p in paths.items():
+        if not p:
+            letters[x] = ()
+            continue
+        label, sign = p[-1]
+        parent = inn[(x, label)] if sign > 0 else out[(x, label)]
+        letters[x] = letters[parent] + (sign * label,)
+    path = {x: _word(graph.rank, w) for x, w in letters.items()}
     return path, tree
 
 
@@ -594,11 +617,15 @@ def class_frame(gens):
 
 
 def factor_class(gens):
-    """Canonical conjugacy-class form of the subgroup generated by `gens`."""
-    g = subgroup_graph(gens)
-    core = g.without_basepoint()
+    """Canonical conjugacy-class form of the subgroup generated by `gens`:
+    the folded bouquet trimmed straight to its 2-core, which is unique, so
+    no vertex is renumbered."""
+    b = _folded(gens)
+    b.trim(keep_basepoint=False)
+    b.basepoint = None
+    core = b.to_graph()
     return FactorClass(
-        rank_ambient=g.rank,
+        rank_ambient=core.rank,
         core=core,
         rank=core.graph_rank(),
     )

@@ -1,8 +1,9 @@
 """Independent checks that several test modules share: subgroup membership
 read off a folded graph, Farey adjacency of slopes, the Farey distance by
 recursion, the conjugator search in both directions, the bounded filling
-scan, the Whitehead moves filtered from all of them, and the pool search
-over a full nesting table."""
+scan, the Whitehead moves filtered from all of them, the pool search
+over a full nesting table, and the folding kernel as it was before it
+folded from the basepoint alone."""
 
 import itertools
 from collections import deque
@@ -181,3 +182,103 @@ def pool_distance(pool, X, Y, max_depth):
                 seen.add(H)
                 q.append((H, d + 1))
     return None
+
+
+def fold_all_vertices(b):
+    """GraphBuilder.fold as it was when its worklist started from every
+    vertex of the builder, not from the basepoint alone."""
+    from subfactor.stallings import find
+
+    parent = {v: v for v in b.vertices}
+    incident = {v: set() for v in b.vertices}
+    for e, rec in b.edges.items():
+        incident[rec[0]].add(e)
+        incident[rec[1]].add(e)
+    b._incident = incident
+    b._parent = parent
+    pending = list(b.vertices)
+    while pending:
+        v = pending.pop()
+        if find(parent, v) != v:
+            continue
+        out = {}
+        inn = {}
+        pair = None
+        for e in list(incident[v]):
+            rec = b.edges.get(e)
+            if rec is None:
+                incident[v].discard(e)
+                continue
+            rec[0] = find(parent, rec[0])
+            rec[1] = find(parent, rec[1])
+            if rec[0] != v and rec[1] != v:
+                incident[v].discard(e)
+                continue
+            label = rec[2]
+            if rec[0] == v:
+                if (label in out) and out[label] != e:
+                    pair = (out[label], e, "out")
+                    break
+                out[label] = e
+            if rec[1] == v:
+                if (label in inn) and inn[label] != e:
+                    pair = (inn[label], e, "in")
+                    break
+                inn[label] = e
+        if pair is None:
+            continue
+        e, f, side = pair
+        eu, ev, _, ep = b.edges[e]
+        fu, fv, _, fp = b.edges[f]
+        if side == "out":
+            x, y = find(parent, ev), find(parent, fv)
+        else:
+            x, y = find(parent, eu), find(parent, fu)
+        base = (find(parent, b.basepoint)
+                if b.basepoint is not None else None)
+        if ep is not None and x != y:
+            if y != base:
+                b._gauge(y, ~fp * ep if side == "out" else fp * ~ep)
+            else:
+                b._gauge(x, ~ep * fp if side == "out" else ep * ~fp)
+        del b.edges[f]
+        incident[v].discard(f)
+        if x != y:
+            keep, drop = (x, y) if y != base else (y, x)
+            parent[drop] = keep
+            incident[keep] |= incident.pop(drop, set())
+            b.vertices.discard(drop)
+            if b.basepoint == drop:
+                b.basepoint = keep
+            pending.append(keep)
+        pending.append(v)
+    for rec in b.edges.values():
+        rec[0] = find(parent, rec[0])
+        rec[1] = find(parent, rec[1])
+    b.vertices = {v for v in b.vertices if find(parent, v) == v}
+    if b.basepoint is not None:
+        b.basepoint = find(parent, b.basepoint)
+    del b._incident
+    del b._parent
+
+
+def tree_data_rereduced(graph):
+    """stallings._tree_data as it was when every vertex's path was freely
+    reduced again from the basepoint."""
+    from subfactor.stallings import spanning_tree
+    from subfactor.words import _word, free_reduce
+
+    paths, tree = spanning_tree(graph.basepoint, graph.edges)
+    path = {x: _word(graph.rank, free_reduce(s * label for label, s in p))
+            for x, p in paths.items()}
+    return path, tree
+
+
+def factor_class_via_based(gens):
+    """stallings.factor_class as it was: the based core graph of the
+    bouquet, then without_basepoint on a copy of it."""
+    from subfactor.stallings import FactorClass, subgroup_graph
+
+    core = subgroup_graph(gens).without_basepoint()
+    return FactorClass(rank_ambient=core.rank, core=core,
+                       rank=core.graph_rank())

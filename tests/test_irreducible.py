@@ -209,20 +209,38 @@ def test_spec_computes_growth_table_and_inverses_once(monkeypatch):
                              "invert_automorphism"]
 
 
+def shipped_spec():
+    A = factor_from_strs(3, ["a", "b"])
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    return build_pingpong(A, psi, m_emp=1, d_emp=1)
+
+
 @pytest.mark.parametrize("T, X, h", [
     (["b", "c"], ["a", "b"], ["a", "c", "bc"]),
     (["a", "b"], ["b", "c"], ["b", "ab", "c"]),
-    (["a", "b"], None, ["b", "ab", "c"]),
-], ids=["pair-B-A-g", "pair-A-B-f", "psi-A-psiinvA-f"])
+    (["a", "b"], "psi^-1 A", ["b", "ab", "c"]),
+    (["a", "b"], "psi^-1 x0", ["b", "ab", "c"]),
+    (["a", "b"], "psi^-1 x0", "f^-1"),
+    (["a", "b"], "psi x0", ["b", "ab", "c"]),
+    (["a", "b"], "psi x0", "f^-1"),
+], ids=["pair-B-A-g", "pair-A-B-f", "psi-A-psiinvA-f", "chain-psiinvx0-f",
+        "chain-psiinvx0-finv", "chain-psix0-f", "chain-psix0-finv"])
 def test_projection_is_equivariant_on_graphs(T, X, h):
     # pi_T(h^k . G) = r^k . pi_T(G) member for member, r the restriction of
-    # h to T, for the samples G of the pinned pair and of the shipped
-    # spec's psi^-1 A; _growth_table rests on this
+    # h to T, for the samples G of the pinned pair, of the shipped spec's
+    # psi^-1 A, and of the chain windows' sources psi^-+1 x0 (x0 the first
+    # member of X_A) under the shifts f^+-k; _growth_table and
+    # chain_progress_verify rest on this
     T = factor_from_strs(3, T)
-    h = Automorphism.from_strs(3, h)
-    if X is None:
-        psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    f = Automorphism.from_strs(3, ["b", "ab", "c"])
+    h = invert_automorphism(f) if h == "f^-1" else Automorphism.from_strs(3, h)
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    if X == "psi^-1 A":
         X = apply_to_factor(invert_automorphism(psi), T)
+    elif X in ("psi^-1 x0", "psi x0"):
+        x0 = irreducible._xset_grow(T, 5, 6).vertices()[0]
+        X = apply_to_factor(psi if X == "psi x0" else invert_automorphism(psi),
+                            x0)
     else:
         X = factor_from_strs(3, X)
     r, _ = restriction(h, T)
@@ -232,6 +250,59 @@ def test_projection_is_equivariant_on_graphs(T, X, h):
         for k in range(1, 6):
             assert project_graph(T, transformed(G, h ** k)) == {
                 apply_to_factor(r ** k, F) for F in P}
+
+
+def test_chain_check_projects_only_the_sources(monkeypatch):
+    # on the shipped spec both windows' gaps exceed 2 m_emp for five
+    # sampling seeds, and each window projects one member: the first of
+    # its ends' common source psi^-+1 X_A, never a stretched end member
+    from subfactor import complex_cn
+
+    spec = shipped_spec()
+    rows = window_xsets(spec, s=5, cap=6)
+    projected = []
+    real = complex_cn.project_factor
+    monkeypatch.setattr(complex_cn, "project_factor", lambda T, X, **kw: (
+        projected.append((T, X)) or real(T, X, **kw)))
+    for seed in (11, 22, 33, 44, 55):
+        for window, row in zip(chain_windows(spec), rows):
+            del projected[:]
+            rep = complex_cn.chain_progress_verify(
+                window, s=5, m_emp=1, cap=6, samples=6, seed=seed, xsets=row)
+            gaps = [d[2] for d in rep.details if d[0] == "projection-gap"]
+            assert rep.ok and gaps and all(g > 2 for g in gaps)
+            assert row[0].source is row[2].source
+            source = row[0].source.vertices()[0]
+            assert projected == [(spec.A, source)]
+            assert source.complexity() < row[0].vertices()[0].complexity()
+
+
+def test_second_word_follows_no_orbit_step_again(monkeypatch):
+    # both words start with f^N: the second takes the candidates and every
+    # f^N image from the spec, so no (step, core) pair is followed twice,
+    # and its evidence is the one a fresh spec gives
+    spec = shipped_spec()
+    followed = []
+    real = irreducible._apply_capped
+
+    def counted(step, F, cap):
+        followed.append((tuple(map(id, step[0])), F.core))
+        return real(step, F, cap)
+
+    monkeypatch.setattr(irreducible, "_apply_capped", counted)
+    pingpong_word(spec, [("f", 1), ("g", 1)], powers=6, core_bound=8)
+    first = len(followed)
+    second = pingpong_word(spec, [("f", 1), ("g", -1)], powers=6,
+                           core_bound=8)
+    f_chain = tuple(map(id, (spec.power("f", spec.N),)))
+    assert first >= 72 and len(followed) > first
+    assert not [key for key in followed[first:] if key[0] == f_chain]
+    assert len(set(followed)) == len(followed)
+    fresh = pingpong_word(shipped_spec(), [("f", 1), ("g", -1)], powers=6,
+                          core_bound=8)
+    for name in ("syllables", "invariant_factor", "growth_table", "capped",
+                 "candidates"):
+        assert getattr(second, name) == getattr(fresh, name)
 
 
 def test_growth_table_projects_only_untranslated_factors(monkeypatch):

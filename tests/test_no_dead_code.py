@@ -10,6 +10,11 @@ overrides is a constant, not a knob.
 The scans go by name only, so a method counts as used when any attribute
 of that name is read anywhere, and a call counts for every function of
 its name.  Dunder methods are called by the language and are not checked.
+
+Importing the package does no work beyond defining it: a module's
+top-level statements are imports, defs and classes (decorated or not),
+docstrings, the ``__main__`` guard, and assignments whose value calls
+nothing.
 """
 
 import ast
@@ -187,3 +192,61 @@ def test_guard_flags_unpassed_defaults():
                          "h(**{})\n")]
     assert unpassed_defaults(package, callers) == [
         "a.py:1 f(z)", "a.py:2 inner(n)"]
+
+
+def _is_main_guard(node):
+    test = node.test
+    return (isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name)
+            and test.left.id == "__name__"
+            and len(test.comparators) == 1
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value == "__main__")
+
+
+def import_time_work(trees):
+    """``file:line`` of each top-level statement in {file name: tree} that
+    runs more than a definition when the module is imported."""
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                continue
+            if isinstance(node, ast.If) and _is_main_guard(node):
+                continue
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and node.value is not None
+                    and not any(isinstance(n, ast.Call)
+                                for n in ast.walk(node.value))):
+                continue
+            out.append(f"{fname}:{node.lineno}")
+    return out
+
+
+def test_importing_the_package_does_no_work():
+    assert import_time_work(_package()) == []
+
+
+def test_guard_flags_import_time_work():
+    trees = {"a.py": ast.parse(
+        '"""doc"""\n'
+        "import os\n"
+        "from math import gcd\n"
+        "LIMIT = 8\n"
+        "TABLE = {1: (2, 3)}\n"
+        "WORDS = sorted(['b', 'a'])\n"
+        "@decorate(1)\n"
+        "def f():\n    return os.sep\n"
+        "class K:\n    x = gcd(4, 6)\n"
+        "print('loaded')\n"
+        "for i in range(3):\n    pass\n"
+        "if LIMIT:\n    f()\n"
+        "COUNT: int = len(TABLE)\n"
+        "if __name__ == '__main__':\n    f()\n")}
+    assert import_time_work(trees) == ["a.py:6", "a.py:12", "a.py:13",
+                                       "a.py:15", "a.py:17"]

@@ -15,6 +15,7 @@ from subfactor.stallings import (
     apply_to_factor,
     basis,
     canonical_code,
+    class_frame,
     clear_reduction_cache,
     contained_up_to_conjugacy,
     factor_class,
@@ -39,7 +40,12 @@ from subfactor.words import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import contains_element  # noqa: E402
+from oracles import (  # noqa: E402
+    contains_element,
+    factor_class_via_based,
+    fold_all_vertices,
+    tree_data_rereduced,
+)
 
 
 def w(text, rank=2):
@@ -590,3 +596,59 @@ def test_cut_count_check_can_fail(monkeypatch):
             main(["classify", "--rank", "3", "--a", "ab", "--b", "c"])
     finally:
         clear_reduction_cache()
+
+
+def kernel_outputs(make_class, subgroups, autos, covers):
+    """Everything the folding kernel feeds, for each input: the core with
+    its vertex ids, the code, gens() and class_frame of each subgroup, the
+    inverse of each automorphism, and the cover_core domain of each
+    (subgroup, marking automorphism of a rose)."""
+    from subfactor.marked import cover_core, rose, transformed
+
+    out = []
+    for gens in subgroups:
+        F = make_class(gens)
+        out.append((F.core, F.code, [x.letters for x in F.gens()],
+                    class_frame(gens).letters))
+    for phi in autos:
+        out.append([x.letters for x in invert_automorphism(phi).images])
+    for gens, phi in covers:
+        G = transformed(rose(phi.rank), phi)
+        out.append(cover_core(make_class(gens), G).domain)
+    return out
+
+
+def test_folding_kernel_matches_the_all_vertex_fold(monkeypatch):
+    # folding from the basepoint alone, trimming straight to the core and
+    # extending tree paths give the very cores (vertex ids included),
+    # codes, generators, frames, inverses and cover domains that the
+    # all-vertex fold, without_basepoint and re-reduced paths gave
+    from subfactor.cli import FILLING_PSI
+    from subfactor.irreducible import _candidate_factors, build_pingpong
+
+    rng = random.Random(2020)
+    subgroups, autos, covers = [], [], []
+    for rank in (2, 3, 4, 5):
+        for _ in range(40):
+            gens = [x for x in (random_word(rng, rank, 12)
+                                for _ in range(rng.randint(1, 4))) if x]
+            if gens:
+                subgroups.append(gens)
+        for _ in range(15):
+            autos.append(random_automorphism(rank, rng, length=6))
+        for gens in subgroups[-8:]:
+            covers.append((gens, random_automorphism(rank, rng, length=3)))
+    spec = build_pingpong(factor_from_strs(3, ["a", "b"]),
+                          Automorphism.from_strs(3, list(FILLING_PSI)),
+                          m_emp=1, d_emp=1)
+    candidates = _candidate_factors(3, 8, 80)
+    assert len(candidates) == 72
+    fN = spec.power("f", spec.N)
+    subgroups += [[fN(x) for x in C.gens()] for C in candidates]
+    new = kernel_outputs(factor_class, subgroups, autos, covers)
+    monkeypatch.setattr(GraphBuilder, "fold", fold_all_vertices)
+    monkeypatch.setattr(stallings, "_tree_data", tree_data_rereduced)
+    old = kernel_outputs(factor_class_via_based, subgroups, autos, covers)
+    assert len(new) == len(old) == len(subgroups) + len(autos) + len(covers)
+    for got, want in zip(new, old):
+        assert got == want
