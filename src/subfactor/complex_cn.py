@@ -270,7 +270,7 @@ def chain_progress_verify(factors, s=5, m_emp=10, cap=10, conj_len=3,
         if shared:
             failures.append((i, "X-sets share a vertex"))
         details.append(("disjoint-xsets", i, len(shared)))
-    projected = {}  # id of a source X-set -> its first member's projection
+    projected = {}  # (id of a source X-set, A) -> pi_A of its first member
 
     def project(A, xs):
         h = xs.along

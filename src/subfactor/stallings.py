@@ -385,14 +385,12 @@ def _tree_data(graph):
     paths, tree = spanning_tree(graph.basepoint, graph.edges)
     out = graph.out_map()
     inn = graph.in_map()
-    letters = {}
+    letters = {graph.basepoint: ()}
     for x, p in paths.items():
-        if not p:
-            letters[x] = ()
-            continue
-        label, sign = p[-1]
-        parent = inn[(x, label)] if sign > 0 else out[(x, label)]
-        letters[x] = letters[parent] + (sign * label,)
+        if p:
+            label, sign = p[-1]
+            parent = inn[(x, label)] if sign > 0 else out[(x, label)]
+            letters[x] = letters[parent] + (sign * label,)
     path = {x: _word(graph.rank, w) for x, w in letters.items()}
     return path, tree
 

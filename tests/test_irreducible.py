@@ -255,11 +255,15 @@ def test_projection_is_equivariant_on_graphs(T, X, h):
 def test_chain_check_projects_only_the_sources(monkeypatch):
     # on the shipped spec both windows' gaps exceed 2 m_emp for five
     # sampling seeds, and each window projects one member: the first of
-    # its ends' common source psi^-+1 X_A, never a stretched end member
+    # its ends' common source psi^-+1 X_A, never a stretched end member;
+    # the conjugators moved in two stages still split their members off
     from subfactor import complex_cn
+    from subfactor.projection import split_by
 
     spec = shipped_spec()
     rows = window_xsets(spec, s=5, cap=6)
+    assert all(split_by(xs.factor, v, c) is not None
+               for row in rows for xs in row for v, c in xs.members)
     projected = []
     real = complex_cn.project_factor
     monkeypatch.setattr(complex_cn, "project_factor", lambda T, X, **kw: (
