@@ -19,6 +19,7 @@ import json
 import os
 import random
 import sys
+from math import gcd
 
 from .complex_cn import (
     chain_progress_verify,
@@ -52,6 +53,7 @@ from .stallings import (
     _reduction_cache,
     apply_to_factor,
     class_frame,
+    contained_up_to_conjugacy,
     factor_class,
     factor_from_strs,
     is_free_factor,
@@ -294,60 +296,48 @@ def suite_farey_oracle(samples, seed):
     """Continued-fraction distance against an independent breadth-first
     search to radius 30 on the Farey tessellation (neighbors of p/q are
     mediant moves), for slopes with entries of size at most 15."""
-    bound = 15
 
     def bfs(v, w):
-        from collections import deque
-
-        start, goal = tuple(v), tuple(w)
-        if start == goal:
-            return 0
-        q = deque([(start, 0)])
-        seen = {start}
-        while q:
-            cur, d = q.popleft()
-            if d >= 30:
-                continue
-            for nxt in _farey_neighbors(cur, bound * 4):
-                if nxt == goal:
-                    return d + 1
-                if nxt not in seen:
-                    seen.add(nxt)
-                    q.append((nxt, d + 1))
+        seen = frontier = {v}
+        for d in range(31):
+            if w in frontier:
+                return d
+            frontier = {x for u in frontier
+                        for x in _farey_neighbors(u, 60)} - seen
+            seen = seen | frontier
         return None
 
     rng = random.Random(seed)
-    mism = checked = 0
-    pairs = []
-    for _ in range(samples):
-        v = _random_slope(rng, bound)
-        w = _random_slope(rng, bound)
-        pairs.append((v, w))
-    for v, w in pairs:
-        d_cf = farey_distance(v, w)
-        d_bfs = bfs(v, w)
-        checked += 1
-        if d_bfs is not None and d_cf != d_bfs:
-            mism += 1
-    return mism == 0, {"checked": checked, "mismatches": mism}
+    pairs = [(_random_slope(rng, 15), _random_slope(rng, 15))
+             for _ in range(samples)]
+    mism = sum(1 for v, w in pairs
+               if bfs(v, w) not in (None, farey_distance(v, w)))
+    return mism == 0, {"checked": len(pairs), "mismatches": mism}
 
 
 def _farey_neighbors(v, cap):
-    p, q = v
-    out = []
-    for r in range(-cap, cap + 1):
-        for s in range(-cap, cap + 1):
-            if p * s - q * r in (1, -1):
-                rr, ss = r, s
-                if rr < 0 or (rr == 0 and ss < 0):
-                    rr, ss = -rr, -ss
-                out.append((rr, ss))
-    return out
+    """Every (r, s) with |r|, |s| <= cap and p*s - q*r = +-1, in order of r
+    and then s, each signed as a slope.  Solved, not scanned: when p = 0,
+    the r with q*r = +-1 take every s; otherwise s = (q*r - e) / p is whole
+    exactly when q*r = e mod p, one residue class of r for each e = +-1."""
+    p, q = v if v[0] >= 0 else (-v[0], -v[1])  # the same equation
+    if p == 0:
+        pairs = [(r, s) for r in range(-cap, cap + 1) if q * r in (1, -1)
+                 for s in range(-cap, cap + 1)]
+    else:
+        pairs = []
+        for e in (1, -1) if gcd(p, q) == 1 else ():
+            r0 = e * pow(q, -1, p) % p
+            for r in range(r0 - (r0 + cap) // p * p, cap + 1, p):
+                s = (q * r - e) // p
+                if -cap <= s <= cap:
+                    pairs.append((r, s))
+        pairs.sort()
+    return [(r, s) if r > 0 or (r == 0 and s > 0) else (-r, -s)
+            for r, s in pairs]
 
 
 def _random_slope(rng, bound):
-    from math import gcd
-
     while True:
         p = rng.randint(-bound, bound)
         q = rng.randint(-bound, bound)
@@ -360,8 +350,6 @@ def _random_slope(rng, bound):
 def suite_trichotomy(samples, seed):
     """Random factor pairs always classify, and certified verdicts are
     consistent with containment checks."""
-    from .stallings import contained_up_to_conjugacy
-
     rng = random.Random(seed)
     counts = {}
     for _ in range(samples):

@@ -602,8 +602,9 @@ def classify_pair(A, B):
 
 def behrstock_check(A, B, G, samples=8, seed=0):
     """The two coordinates of the consistency inequality for an overlapping
-    pair: d_A(G, B) and d_B(G, A).  Returns exact values for rank-2 factors
-    and upper bounds otherwise, as (dA, dB)."""
+    pair, as (da, db, min upper): da = d_A(G, B) and db = d_B(G, A), each a
+    (lower, upper) pair from factor_distance, and the least of their upper
+    bounds that are known, or None."""
     pa_g = project_graph(A, G)
     pb_g = project_graph(B, G)
     pa_b = project_factor(A, B, samples=samples, seed=seed)

@@ -7,7 +7,7 @@ edge read from u to v spells that generator, read backwards its inverse.
 
 from __future__ import annotations
 
-import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,7 +18,9 @@ from .words import (
     _inverse_letters,
     _join,
     _word,
-    whitehead_automorphisms,
+    abelianize,
+    type2_move,
+    whitehead_move,
     whitehead_type2,
     word_from_str,
 )
@@ -721,8 +723,6 @@ def mod2_span(gens):
     """Reduced-echelon mod-2 span of the abelianized generators, as sorted
     bitmask rows (bit i = generator i+1).  Canonical: equal subspaces give
     equal tuples."""
-    from .words import abelianize
-
     pivots = {}
     for w in gens:
         r = sum((1 << i) for i, c in enumerate(abelianize(w)) if c % 2)
@@ -776,8 +776,6 @@ def _smith_divisors(rows):
 
 def _obstruction(F):
     """A certified non-factor reason, or None."""
-    from .words import abelianize
-
     n = F.rank_ambient
     if F.rank > n:
         return OVER_RANK
@@ -804,12 +802,12 @@ def is_free_factor(F):
     verdict is certified.  On success the witness maps F to the class of
     the standard sub-rose on the first rank(F) generators.
 
-    Each step takes the first type II move (A, a) of whitehead_type2 that
-    shortens the core, found by counting (Gersten, ibid.; Roig-Ventura-Weil,
-    IJAC 2007): with L(v) the link of v (x for an edge leaving v labelled x,
-    x^-1 for one entering), |E(core phi(G))| = |E(G)| - #{edges labelled a}
-    + #{v : L(v) & A^-1 is neither empty nor L(v)}.  Only that move is
-    folded, and its fold checks the count.
+    Each step takes the first type II move (A, a), in whitehead_type2
+    order, that shortens the core, found by counting (Gersten, ibid.;
+    Roig-Ventura-Weil, IJAC 2007): with L(v) the link of v (x for an edge
+    leaving v labelled x, x^-1 for one entering), |E(core phi(G))| =
+    |E(G)| - #{edges labelled a} + #{v : L(v) & A^-1 is neither empty nor
+    L(v)}.  Only that move is folded, and its fold checks the count.
     """
     if not F.core.edges:
         raise TrivialSubgroupError("trivial subgroup")
@@ -836,18 +834,11 @@ def _finish(F, chain):
     return witness
 
 
-@functools.cache
-def _cut_table(rank):
-    """(move, bitmask of A^-1, label of a) for each type II move (A, a) of
-    whitehead_type2(rank), in its order, with bit rank + x for letter x."""
-    return tuple((phi, sum(1 << (rank - x) for x in phi._cut[0]),
-                  abs(phi._cut[1])) for phi in whitehead_type2(rank))
-
-
 def _links(cores):
     """(link bitmask, vertices with that link) pairs over the given cores,
-    with bits as in _cut_table, and the number of edges per label.  The cut
-    count of a move adds up over cores, so one table scores a tuple."""
+    with bits as in whitehead_type2, and the number of edges per label.
+    The cut count of a move adds up over cores, so one table scores a
+    tuple."""
     masks = Counter()
     per_label = Counter()
     for core in cores:
@@ -860,30 +851,42 @@ def _links(cores):
     return tuple(masks.items()), per_label
 
 
+def _first_move(rank, links, per_label):
+    """The first type II move (A, a), in whitehead_type2 order, whose cut
+    count is below the number of edges labelled a, and the change in edge
+    count it makes; or None."""
+    for b, block in enumerate(whitehead_type2(rank)):
+        edges = per_label[b // 2 + 1]
+        if edges:  # else no move of the block shortens: no cut is negative
+            for index, inv in enumerate(block, 1):
+                # the vertices whose link A^-1 cuts (see is_free_factor)
+                cut = sum(k for m, k in links if 0 != m & inv != m)
+                if cut < edges:
+                    a = (b // 2 + 1) * (-1) ** b
+                    return type2_move(rank, a, index), cut - edges
+    return None
+
+
 def descend(classes):
     """Strict Whitehead descent of a tuple of classes on their summed edge
     count, scoring moves as is_free_factor does, until every class is a
     sub-rose or no move shortens the tuple.  Peak reduction holds for
     tuples up to conjugacy with that measure (Gersten 1984), so the stop
     is orbit-minimal.  Returns the final classes and the moves taken."""
-    table = _cut_table(classes[0].rank_ambient)
+    rank = classes[0].rank_ambient
     chain = []
     current = list(classes)
     # explicit generating words so the strict-descent loop never needs
     # canonical starts or codes of large intermediate graphs
     gens = [list(F.gens()) for F in current]
     while not all(F.is_sub_rose() for F in current):
-        links, per_label = _links([F.core for F in current])
-        for phi, inv, label in table:
-            # the vertices whose link A^-1 cuts (see is_free_factor)
-            cut = sum(k for m, k in links if 0 != m & inv != m)
-            if cut < per_label[label]:
-                break  # first improvement; order is fixed, so deterministic
-        else:
+        move = _first_move(rank, *_links([F.core for F in current]))
+        if move is None:
             # type I moves keep the edge count, so this strict local
             # minimum is orbit-minimal
             break
-        size = sum(F.complexity() for F in current) + cut - per_label[label]
+        phi, change = move
+        size = sum(F.complexity() for F in current) + change
         gens = [[phi(w) for w in ws] for ws in gens]
         current = [factor_class(ws) for ws in gens]
         if sum(F.complexity() for F in current) != size:
@@ -910,9 +913,11 @@ def _reduce(F):
 
 
 def random_automorphism(rank, rng, length=4):
-    """A seeded random automorphism: a product of length Whitehead moves."""
-    moves = whitehead_automorphisms(rank)
+    """A seeded random automorphism: a product of length Whitehead moves,
+    each drawn as rng.choice draws from all of them in whitehead_move order."""
+    count = (2 ** rank * math.factorial(rank)
+             + 2 * rank * (4 ** (rank - 1) - 1))
     phi = Automorphism.identity(rank)
     for _ in range(length):
-        phi = rng.choice(moves) * phi
+        phi = whitehead_move(rank, rng.randrange(count)) * phi
     return phi

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from operator import neg
@@ -292,53 +293,58 @@ class Automorphism:
         return "[" + ",".join(word_to_str(w) for w in self.images) + "]"
 
 
-@functools.cache
-def whitehead_automorphisms(rank):
-    """All Whitehead automorphisms of F_rank, deduplicated and built once
-    per rank: the signed permutations of the generators (type I, with
-    ``_cut`` None), then whitehead_type2(rank)."""
-    moves = []
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            phi = Automorphism(rank, tuple(_word(rank, (s * p,))
-                                           for p, s in zip(perm, signs)))
-            object.__setattr__(phi, "_cut", None)
-            moves.append(phi)
-    return (*moves, *whitehead_type2(rank))
+def whitehead_move(rank, i):
+    """Move i (from 0) of the Whitehead automorphisms of F_rank in a fixed
+    order: the 2^rank * rank! signed permutations, permutation-major in
+    itertools order with signs in product order of (1, -1), then the type
+    II moves block by block as in whitehead_type2."""
+    signed = 2 ** rank * math.factorial(rank)
+    if i >= signed:
+        block, index = divmod(i - signed, 4 ** (rank - 1) - 1)
+        return type2_move(rank, (block // 2 + 1) * (-1) ** block, index + 1)
+    perm, signs = divmod(i, 2 ** rank)
+    rest = list(range(1, rank + 1))
+    images = []
+    for k in range(rank - 1, -1, -1):
+        j, perm = divmod(perm, math.factorial(k))
+        x = rest.pop(j)
+        images.append(_word(rank, (-x if signs >> k & 1 else x,)))
+    return Automorphism(rank, tuple(images))
+
+
+def type2_move(rank, a, index):
+    """The type II Whitehead move with multiplier a that fixes |a| and
+    replaces every other generator x, in order, by x, x*a, a^-1*x or
+    a^-1*x*a for the base-4 digits 0 to 3 of index, most significant first;
+    index 0 is the identity."""
+    g = abs(a)
+    images = []
+    for x in range(1, rank + 1):
+        c = 0 if x == g else index >> 2 * (rank - x - (x < g)) & 3
+        images.append(_word(rank, (-a,) * (c >> 1) + (x,) + (a,) * (c & 1)))
+    return Automorphism(rank, tuple(images))
 
 
 @functools.cache
 def whitehead_type2(rank):
-    """The non-identity type II Whitehead automorphisms, deduplicated (the
-    first of equal moves wins) and built once per rank; edge-count descent
-    needs only these, since type I moves never change complexity.
+    """The cuts of the non-identity type II Whitehead moves of F_rank, built
+    once per rank; edge-count descent needs only these moves, since type I
+    moves never change complexity.
 
-    Pick a multiplier a = g^e; every other generator x is replaced by one
-    of x, x*a, a^-1*x, a^-1*x*a while g itself is fixed.  Each move records
-    its cut (A, a) as ``_cut``: A holds a, each x with x -> x*a or
-    a^-1*x*a, and x^-1 for each x with x -> a^-1*x or a^-1*x*a.
+    One block per multiplier a = 1, -1, 2, -2, ...; entry k - 1 of a block
+    belongs to type2_move(rank, a, k).  A move's cut (A, a) holds a, each x
+    with x -> x*a or a^-1*x*a, and x^-1 for each x with x -> a^-1*x or
+    a^-1*x*a; the entry is the bitmask of A^-1, with bit rank + y for
+    letter y.  Distinct choices give distinct moves, since a non-identity
+    choice puts a beside some x, which reads back a and every choice.
     """
-    if rank < 2:
-        raise ValueError("rank must be at least 2")
-    seen = {}
+    blocks = []
     for g in range(1, rank + 1):
-        others = [i for i in range(1, rank + 1) if i != g]
+        choices = [(0, 1 << rank - x, 1 << rank + x,
+                    1 << rank - x | 1 << rank + x)
+                   for x in range(1, rank + 1) if x != g]
+        masks = tuple(map(sum, itertools.product(*choices)))[1:]
         for a in (g, -g):
-            for choice in itertools.product(range(4), repeat=rank - 1):
-                if not any(choice):
-                    continue  # the identity, a type I move
-                images = [(i,) for i in range(1, rank + 1)]
-                for i, c in zip(others, choice):
-                    images[i - 1] = ((-a,) * (c >> 1) + (i,)
-                                     + (a,) * (c & 1))
-                key = tuple(images)
-                if key in seen:
-                    continue
-                phi = Automorphism(rank, tuple(_word(rank, w)
-                                               for w in images))
-                cut = {a}
-                cut.update(i for i, c in zip(others, choice) if c & 1)
-                cut.update(-i for i, c in zip(others, choice) if c & 2)
-                object.__setattr__(phi, "_cut", (frozenset(cut), a))
-                seen[key] = phi
-    return tuple(seen.values())
+            bit = 1 << rank - a
+            blocks.append(tuple(m | bit for m in masks))
+    return tuple(blocks)

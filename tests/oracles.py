@@ -1,9 +1,10 @@
 """Independent checks that several test modules share: subgroup membership
-read off a folded graph, Farey adjacency of slopes, the Farey distance by
-recursion, the conjugator search in both directions, the bounded filling
-scan, the Whitehead moves filtered from all of them, the pool search
-over a full nesting table, and the folding kernel as it was before it
-folded from the basepoint alone."""
+read off a folded graph, Farey adjacency of slopes, Farey neighbors by a
+scan of the whole grid, the Farey distance by recursion, the conjugator
+search in both directions, the bounded filling scan, the Whitehead moves
+filtered from all of them and the descent that scans them as a stored
+table, the pool search over a full nesting table, and the folding kernel
+as it was before it folded from the basepoint alone."""
 
 import itertools
 from collections import deque
@@ -29,6 +30,22 @@ def farey_adjacent(v, w):
     p, q = v
     r, s = w
     return abs(p * s - q * r) == 1
+
+
+def farey_neighbors_by_scan(v, cap):
+    """The Farey neighbors of v in the grid |r|, |s| <= cap, as the
+    farey-oracle suite once found them: every (r, s) of the grid in order
+    is tested for p*s - q*r = +-1 and signed as a slope."""
+    p, q = v
+    out = []
+    for r in range(-cap, cap + 1):
+        for s in range(-cap, cap + 1):
+            if p * s - q * r in (1, -1):
+                rr, ss = r, s
+                if rr < 0 or (rr == 0 and ss < 0):
+                    rr, ss = -rr, -ss
+                out.append((rr, ss))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +130,7 @@ def fill_scan(A, B, s):
     return None
 
 
+@lru_cache(maxsize=None)
 def whitehead_reference(rank):
     """(all Whitehead automorphisms, the non-identity type II ones) as they
     were built before the type II moves were generated on their own: every
@@ -149,6 +167,36 @@ def whitehead_reference(rank):
     moves = list(seen.values())
     return moves, [phi for phi in moves
                    if not all(len(w) == 1 for w in phi.images)]
+
+
+def descend_by_table(classes, type2):
+    """The strict Whitehead descent of a tuple of classes as it ran over a
+    stored table: every move of type2 (whitehead_reference's, with its
+    recorded cut) scored in order at every step, the first that shortens
+    the tuple taken.  Returns the final classes and the moves taken."""
+    from subfactor.stallings import _links, factor_class
+
+    rank = classes[0].rank_ambient
+    table = [(phi, sum(1 << (rank - x) for x in phi._cut[0]),
+              abs(phi._cut[1])) for phi in type2]
+    chain = []
+    current = list(classes)
+    gens = [list(F.gens()) for F in current]
+    while not all(F.is_sub_rose() for F in current):
+        links, per_label = _links([F.core for F in current])
+        for phi, inv, label in table:
+            cut = sum(k for m, k in links if 0 != m & inv != m)
+            if cut < per_label[label]:
+                break
+        else:
+            break
+        gens = [[phi(w) for w in ws] for ws in gens]
+        current = [factor_class(ws) for ws in gens]
+        chain.append(phi)
+        for i, F in enumerate(current):
+            if sum(len(w) for w in gens[i]) > 2 * F.complexity() + 20:
+                gens[i] = list(F.gens())
+    return current, chain
 
 
 def pool_distance(pool, X, Y, max_depth):

@@ -14,7 +14,7 @@ its name.  Dunder methods are called by the language and are not checked.
 Importing the package does no work beyond defining it: a module's
 top-level statements are imports, defs and classes (decorated or not),
 docstrings, the ``__main__`` guard, and assignments whose value calls
-nothing.
+nothing.  And every import is a top-level one: no function body imports.
 """
 
 import ast
@@ -250,3 +250,35 @@ def test_guard_flags_import_time_work():
         "if __name__ == '__main__':\n    f()\n")}
     assert import_time_work(trees) == ["a.py:6", "a.py:12", "a.py:13",
                                        "a.py:15", "a.py:17"]
+
+
+def function_imports(trees):
+    """``file:line`` of each import statement inside a function body in
+    {file name: tree}, nested functions and methods included."""
+    out = []
+    for fname, tree in trees.items():
+        lines = {node.lineno
+                 for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))}
+        out.extend(f"{fname}:{line}" for line in sorted(lines))
+    return out
+
+
+def test_no_function_imports():
+    assert function_imports(_package()) == []
+
+
+def test_guard_flags_function_imports():
+    trees = {"a.py": ast.parse(
+        "import os\n"
+        "from math import gcd\n"
+        "def f():\n    from collections import deque\n    return deque\n"
+        "def g():\n    def inner():\n        import json\n"
+        "    return inner\n"
+        "class K:\n    def method(self):\n        import sys\n"
+        "async def h():\n    import re\n"
+        "def clean():\n    return gcd(4, os.sep)\n")}
+    assert function_imports(trees) == ["a.py:4", "a.py:8", "a.py:12",
+                                       "a.py:14"]

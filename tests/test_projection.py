@@ -37,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (  # noqa: E402
     dist_to_infinity,
     farey_adjacent,
+    farey_neighbors_by_scan,
     pool_distance,
     splits_both_ways,
 )
@@ -48,21 +49,8 @@ def w(text, rank=2):
 
 def bfs_farey(v, u, radius=12):
     """Independent oracle: breadth-first search on the Farey graph, edges
-    by the determinant condition over a bounded grid."""
-    cap = 40
-
-    def neighbors(x):
-        p, q = x
-        out = []
-        for r in range(-cap, cap + 1):
-            for s in range(-cap, cap + 1):
-                if p * s - q * r in (1, -1):
-                    rr, ss = (r, s) if (r, s) > (0, 0) or (r > 0) else (-r, -s)
-                    if rr < 0 or (rr == 0 and ss < 0):
-                        rr, ss = -rr, -ss
-                    out.append((rr, ss))
-        return out
-
+    by the determinant condition over a bounded grid, solved for s at each
+    r by cli._farey_neighbors (checked against the grid scan below)."""
     start, goal = tuple(v), tuple(u)
     if start == goal:
         return 0
@@ -72,13 +60,29 @@ def bfs_farey(v, u, radius=12):
         cur, d = q.popleft()
         if d >= radius:
             continue
-        for nxt in neighbors(cur):
+        for nxt in cli._farey_neighbors(cur, 40):
             if nxt == goal:
                 return d + 1
             if nxt not in seen:
                 seen.add(nxt)
                 q.append((nxt, d + 1))
     return None
+
+
+def test_farey_neighbors_match_the_grid_scan():
+    # the solved neighbor lists equal the scan of every (r, s) in the grid,
+    # order included, at the caps of bfs_farey and of verify's farey-oracle
+    rng = random.Random(41)
+    slopes = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    while len(slopes) < 320:
+        cap = rng.choice([3, 40, 60])
+        p, q = rng.randint(0, cap), rng.randint(-cap, cap)
+        if (p, q) != (0, 0) and gcd(p, q) == 1 and (p or q > 0):
+            slopes.append((p, q))
+    for v in slopes:
+        for cap in (3, 40, 60):
+            assert (cli._farey_neighbors(v, cap)
+                    == farey_neighbors_by_scan(v, cap)), (v, cap)
 
 
 def test_farey_adjacency_and_small_values():

@@ -33,7 +33,8 @@ from subfactor.words import (
     Word,
     free_reduce,
     reduce,
-    whitehead_automorphisms,
+    type2_move,
+    whitehead_move,
     whitehead_type2,
     word_from_str,
     word_to_str,
@@ -42,9 +43,11 @@ from subfactor.words import (
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (  # noqa: E402
     contains_element,
+    descend_by_table,
     factor_class_via_based,
     fold_all_vertices,
     tree_data_rereduced,
+    whitehead_reference,
 )
 
 
@@ -297,7 +300,7 @@ def test_invert_automorphism():
 
     # products of Whitehead moves, as random_automorphism draws them, with
     # the inverse known move by move
-    moves = whitehead_automorphisms(3)
+    moves = [whitehead_move(3, i) for i in range(48 + 6 * 15)]
     rng = random.Random(11)
     for _ in range(20):
         f = known_inv = Automorphism.identity(3)
@@ -380,7 +383,7 @@ def test_free_factor_negative_by_peak_reduction(rank, gens):
 def strict_descent(F):
     """Reference descent: any type II move that lowers the edge count."""
     while True:
-        for phi in whitehead_type2(F.rank_ambient):
+        for phi in whitehead_reference(F.rank_ambient)[1]:
             G = apply_to_factor(phi, F)
             if G.complexity() < F.complexity():
                 F = G
@@ -393,7 +396,7 @@ def equal_complexity_component(F):
     """Codes of the classes reachable from F by Whitehead moves, type I
     included, that keep its edge count, and the least edge count among all
     images of those classes."""
-    moves = whitehead_automorphisms(F.rank_ambient)
+    moves, _ = whitehead_reference(F.rank_ambient)
     seen, frontier, lowest = {F.code}, [F], F.complexity()
     while frontier:
         G = frontier.pop()
@@ -514,12 +517,23 @@ def seeded_classes(rng, rank, count):
     return out
 
 
+def type2_cuts(rank):
+    """(move, cut (A, a)) of each type II move, in whitehead_type2 order,
+    with A read off the move's A^-1 bitmask."""
+    multipliers = [a for g in range(1, rank + 1) for a in (g, -g)]
+    return [(type2_move(rank, a, k),
+             (frozenset(rank - j for j in range(2 * rank + 1)
+                        if mask >> j & 1), a))
+            for a, block in zip(multipliers, whitehead_type2(rank))
+            for k, mask in enumerate(block, 1)]
+
+
 def test_recorded_cut_matches_images():
     for rank in (2, 3, 4, 5):
-        moves = whitehead_type2(rank)
-        assert len(moves) == 2 * rank * (4 ** (rank - 1) - 1)
-        for phi in moves:
-            assert phi._cut == cut_from_images(phi)
+        cuts = type2_cuts(rank)
+        assert len(cuts) == 2 * rank * (4 ** (rank - 1) - 1)
+        for phi, cut in cuts:
+            assert cut == cut_from_images(phi)
 
 
 def test_cut_count_matches_folding():
@@ -530,18 +544,19 @@ def test_cut_count_matches_folding():
     seen = set()
     for rank, cores, sample in ((2, 30, None), (3, 15, None), (4, 6, None),
                                 (5, 6, 150)):
-        moves = whitehead_type2(rank)
+        moves = type2_cuts(rank)
         for F in seeded_classes(rng, rank, cores):
-            for phi in (rng.sample(moves, sample) if sample else moves):
+            for phi, cut in (rng.sample(moves, sample) if sample else moves):
                 got = apply_to_factor(phi, F).complexity()
-                assert got == counted_size(F.core, *phi._cut), (F, phi)
+                assert got == counted_size(F.core, *cut), (F, phi)
                 seen.add((got > F.complexity()) - (got < F.complexity()))
     assert seen == {-1, 0, 1}
 
 
 def folding_descent(F):
     """Reference: the descent that folds the image of every candidate move
-    and takes the first, in whitehead_type2 order, with fewer edges."""
+    and takes the first, in the reference's type II order, with fewer
+    edges."""
     obstruction = stallings._obstruction(F)
     if obstruction is not None:
         return FreeFactorResult(False, reason=obstruction)
@@ -549,7 +564,7 @@ def folding_descent(F):
     current = F
     gens = list(F.gens())
     while not current.is_sub_rose():
-        for phi in whitehead_type2(F.rank_ambient):
+        for phi in whitehead_reference(F.rank_ambient)[1]:
             cand_gens = [phi(w) for w in gens]
             cand = factor_class(cand_gens)
             if cand.complexity() < current.complexity():
@@ -576,6 +591,42 @@ def test_counting_descent_matches_folding_descent():
                 assert got.witness.images == want.witness.images
             reasons.add(got.reason)
     assert {stallings.SUB_ROSE, stallings.MINIMAL} <= reasons
+
+
+def test_descent_takes_the_moves_of_the_table_scan():
+    # the descent over indexed moves takes the same moves, step by step, as
+    # the scan of a stored table of every type II move, on single classes
+    # and on pairs of ranks 2 to 6
+    rng = random.Random(77)
+    steps = 0
+    for rank, count in ((2, 40), (3, 40), (4, 24), (5, 12), (6, 8)):
+        classes = seeded_classes(rng, rank, count)
+        type2 = whitehead_reference(rank)[1]
+        for tup in [(F,) for F in classes] + list(zip(classes[::2],
+                                                      classes[1::2])):
+            got, chain = stallings.descend(tup)
+            want, ref_chain = descend_by_table(tup, type2)
+            assert ([phi.images for phi in chain]
+                    == [phi.images for phi in ref_chain]), tup
+            assert [F.code for F in got] == [F.code for F in want]
+            steps += len(chain)
+    assert steps > 100
+
+
+@pytest.mark.parametrize("gens,expect", [(["abc", "b"], True),
+                                         (["a", "bcBCb"], False)])
+def test_free_factor_decided_in_rank_eight(gens, expect):
+    # <x1x2x3, x2> is a free factor of F_8 and <x1, [x2,x3]x2> is not; the
+    # witness carries the factor onto the standard sub-rose
+    clear_reduction_cache()
+    F = factor_from_strs(8, gens)
+    res = is_free_factor(F)
+    assert res.is_factor is expect and res.certified
+    if expect:
+        assert (apply_to_factor(res.witness, F)
+                == factor_from_strs(8, ["a", "b"]))
+    else:
+        assert res.reason == stallings.MINIMAL
 
 
 def test_cut_count_check_can_fail(monkeypatch):

@@ -17,7 +17,8 @@ from subfactor.words import (
     free_reduce,
     is_cyclically_reduced,
     reduce,
-    whitehead_automorphisms,
+    type2_move,
+    whitehead_move,
     whitehead_type2,
     word_from_str,
     word_to_str,
@@ -231,21 +232,55 @@ def test_cancellation_is_bounded(rank):
     assert most > 0
 
 
+def type2_cuts(rank):
+    """(multiplier, index, A^-1 bitmask) of each type II move, in
+    whitehead_type2 order."""
+    multipliers = [a for g in range(1, rank + 1) for a in (g, -g)]
+    return [(a, k, mask)
+            for a, block in zip(multipliers, whitehead_type2(rank))
+            for k, mask in enumerate(block, 1)]
+
+
 def test_whitehead_type2_built_once():
-    moves = whitehead_type2(3)
-    assert isinstance(moves, tuple) and moves is whitehead_type2(3)
-    assert not any(all(len(w) == 1 for w in phi.images) for phi in moves)
-    every = whitehead_automorphisms(3)
-    assert isinstance(every, tuple) and every is whitehead_automorphisms(3)
+    # the per-rank cache holds integers only: one block of 4^(n-1) - 1
+    # masks per multiplier, and no automorphism
+    blocks = whitehead_type2(3)
+    assert blocks is whitehead_type2(3)
+    assert [len(block) for block in blocks] == [15] * 6
+    assert all(type(mask) is int for block in blocks for mask in block)
+    assert type2_move(3, 2, 0).is_identity()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_whitehead_moves_match_filtered_reference(rank):
+    # every index unranks to the reference move, and every type II move
+    # and its cut mask match the reference move and its recorded cut
     every, type2 = whitehead_reference(rank)
-    for got, want in ((whitehead_automorphisms(rank), every),
-                      (whitehead_type2(rank), type2)):
-        assert [phi.images for phi in got] == [phi.images for phi in want]
-        assert [phi._cut for phi in got] == [phi._cut for phi in want]
+    assert ([whitehead_move(rank, i).images for i in range(len(every))]
+            == [phi.images for phi in every])
+    cuts = type2_cuts(rank)
+    assert len(cuts) == len(type2)
+    for (a, k, mask), phi in zip(cuts, type2):
+        assert type2_move(rank, a, k).images == phi.images
+        A, multiplier = phi._cut
+        assert multiplier == a
+        assert mask == sum(1 << (rank - x) for x in A)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_random_automorphism_draws_as_choice_from_the_reference(rank):
+    every, _ = whitehead_reference(rank)
+    for seed in range(12):
+        rng, ref = random.Random(seed), random.Random(seed)
+        length = ref.randint(1, 6)
+        assert rng.randint(1, 6) == length
+        want = Automorphism.identity(rank)
+        for _ in range(length):
+            want = ref.choice(every) * want
+        got = random_automorphism(rank, rng, length=length)
+        assert got.images == want.images
+        # both streams made the same calls
+        assert rng.random() == ref.random()
 
 
 def test_automorphism_apply_and_compose():
@@ -263,14 +298,14 @@ def test_automorphism_apply_and_compose():
 def test_whitehead_count_rank2():
     # 8 signed permutations; type II contributes 13 distinct maps, one of
     # which (the identity) is already a signed permutation
-    autos = whitehead_automorphisms(2)
-    assert len(autos) == 20
+    autos = [whitehead_move(2, i) for i in range(20)]
+    assert sum(len(block) for block in whitehead_type2(2)) == 12
     keys = {tuple(x.letters for x in f.images) for f in autos}
     assert len(keys) == 20
 
 
 def test_whitehead_closed_under_inverse():
-    autos = whitehead_automorphisms(2)
+    autos = [whitehead_move(2, i) for i in range(20)]
     keys = {tuple(x.letters for x in f.images) for f in autos}
     for f in autos:
         # the inverse of a Whitehead automorphism is again one; find it
