@@ -239,6 +239,8 @@ def cmd_farey(args, cfg):
 
 
 def cmd_pingpong(args, cfg):
+    if args.m_emp < 0 or args.d_emp < 0:
+        raise UsageError("--m-emp and --d-emp must not be negative")
     A = parse_factor(args.rank, args.a)
     B = parse_factor(args.rank, args.b)
     f = Automorphism.from_strs(args.rank, [s.strip() for s in args.f.split(",")])

@@ -36,7 +36,11 @@ from .stallings import (
 from .words import (
     Automorphism,
     Word,
+    _cyclic_core,
+    _cyclic_released,
     _inverse_letters,
+    _join,
+    _released,
     _word,
     cyclic_words,
     free_reduce,
@@ -329,32 +333,81 @@ class IrreducibilityEvidence:
 
 
 def _apply_capped(step, F, cap):
-    """Apply a step (chain, bound) of _syllable_steps to a factor class,
+    """Apply a step (chain, bounds) of _syllable_steps to a factor class,
     giving up once the images pass 40 * cap letters or the image core has
-    more than cap edges.
+    more than cap edges.  Both checks are exact, yet the images stop early
+    on certificates from Cooper's bounded cancellation lemma (D. Cooper,
+    J. Algebra 111, 1987): with B = Lip(phi) * floor(Lip(phi^-1) / 2) for
+    an automorphism phi, |phi(ps)| >= |phi(p)| - B for every reduced word
+    ps.  In the Cayley tree, phi^-1 takes the geodesic [1, phi(ps)] to a
+    chain of steps at most Lip(phi^-1) long covering [1, ps], so phi(p)
+    lies within B of [1, phi(ps)].
 
-    The length guard is exact, yet it stops inside the last automorphism
-    phi of the chain once a prefix image passes the letters left plus
-    bound = Lip(phi) * floor(Lip(phi^-1) / 2): by Cooper's bounded
-    cancellation lemma (D. Cooper, J. Algebra 111, 1987), |phi(ps)| >=
-    |phi(p)| - bound for every reduced word ps.  In the Cayley tree, phi^-1
-    takes the geodesic [1, phi(ps)] to a chain of steps at most Lip(phi^-1)
-    long covering [1, ps], so phi(p) lies within bound of [1, phi(ps)]."""
-    (*head, last), bound = step
+    - The last automorphism of the chain stops once a prefix image passes
+      the letters left plus its B.
+    - The one before it is streamed into the last (words._released): each
+      of its letters is passed on once its own B shows that no later piece
+      cancels it, so it is computed only as far as the last one reads.
+    - A rank-1 class <w> has the cycle of length ||phi(w)||, the cyclic
+      length, as its core.  For u cyclically reduced and any prefix p of
+      u, ||phi(u)|| >= |phi(p)| - 3B: [1, phi(u)] runs at most B letters
+      from 1 to the axis of phi(u) (1 lies within B of it, see
+      words._cyclic_released), ||phi(u)|| letters along it and at most B
+      off it again, and phi(p) lies within B of that path.  So the chain
+      is first applied to a cyclically reduced conjugate of w: the last
+      automorphism stops at cap plus 3B, and a shorter image gives the
+      cyclic length at once.  Only a class whose image has cyclic length
+      at most cap goes on to the checks above and the fold.  The cycle is
+      read from any vertex (_cycle_letters), as every rotation is a
+      conjugate, so the test computes no canonical code."""
+    bounds = step[1]
+    if F.rank == 1:
+        image = _image(step, _cycle_letters(F.core.edges),
+                       cap + 3 * bounds[-1], cyclic=True)
+        if image is None or len(_cyclic_core(image)) > cap:
+            return None
     left = 40 * cap
     gens = []
     for w in F.gens():
-        for phi in head:
-            w = phi(w)
-        w = last(w, stop=left + bound)
-        if w is None or len(w) > left:
+        image = _image(step, w.letters, left + bounds[-1])
+        if image is None or len(image) > left:
             return None
-        left -= len(w)
-        gens.append(w)
+        left -= len(image)
+        gens.append(_word(F.rank_ambient, image))
     out = factor_class(gens)
     if out.complexity() > cap:
         return None
     return out
+
+
+def _image(step, letters, stop, cyclic=False):
+    """The letters of the image of a reduced word under a step (chain,
+    bounds), or None as soon as a prefix image under the last automorphism
+    is longer than stop.  The second-last automorphism is streamed into the
+    last.  With cyclic, the letters are cyclically reduced, and so is the
+    conjugate of each image passed on."""
+    (*head, last), bounds = step
+    if head:
+        for phi in head[:-1]:
+            letters = _join(phi.pieces(letters))
+            if cyclic:
+                letters = _cyclic_core(letters)
+        letters = (_cyclic_released if cyclic else _released)(
+            head[-1], letters, bounds[-2])
+    return _join(last.pieces(letters), stop)
+
+
+def _cycle_letters(edges):
+    """The letters read once around a core that is a single cycle, from the
+    tail of its first edge."""
+    steps = incidence(edges)
+    x, sign, v = steps[edges[0][0]][0]
+    letters = [sign * x]
+    while len(letters) < len(edges):
+        here, there = steps[v]  # one of them is the way back
+        x, sign, v = there if here[0] * here[1] == -letters[-1] else here
+        letters.append(sign * x)
+    return tuple(letters)
 
 
 # the growth cap of pingpong_word's orbits (see _apply_capped)
@@ -371,10 +424,15 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
     Alternation of syllables is required, otherwise the word is conjugate
     to a power of one letter.  Syllables act left to right on classes.
 
-    The cap is exact though images stop early: a prefix image under phi
-    past the letters left plus Lip(phi) * floor(Lip(phi^-1) / 2) puts the
-    whole image past the cap (Cooper, J. Algebra 111, 1987: phi^-1 takes
-    [1, phi(uv)] to steps at most Lip(phi^-1) long covering [1, uv])."""
+    The cap is exact though images stop early, on Cooper's bounded
+    cancellation lemma (J. Algebra 111, 1987) with B(phi) =
+    Lip(phi) * floor(Lip(phi^-1) / 2) for each automorphism of a step (see
+    _apply_capped): the last one stops once a prefix image passes the
+    letters left plus its B, the one before it gives up each letter once
+    its own B certifies it, and a rank-1 class <w> stops once a prefix
+    image of a cyclically reduced conjugate passes cap plus 3B of the last,
+    since ||phi(u)|| >= |phi(p)| - 3B for u cyclically reduced and p a
+    prefix of u."""
     syl = syllable_reduce(
         [(sym, e * spec.N) for sym, e in syllables]
     )
@@ -421,19 +479,21 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
 
 
 def _syllable_steps(spec, syl):
-    """Each syllable sym^e as (chain, bound): automorphisms to apply in
-    order and the cancellation bound of the last.  With psi known, g^e runs
-    as psi^-1, f^e, psi and no power or inverse of g is built; otherwise
-    the chain is sym^e alone, bounded through its exact inverse sym^-e."""
+    """Each syllable sym^e as (chain, bounds): automorphisms to apply in
+    order and the Cooper constant of each, through its exact inverse (see
+    _apply_capped).  With psi known, g^e runs as psi^-1, f^e, psi, bounded
+    through psi, f^-e and psi^-1, and no power or inverse of g is built;
+    otherwise the chain is sym^e alone, bounded through sym^-e."""
     steps = []
     for sym, e in syl:
         if sym == "g" and spec.psi is not None:
             chain = (spec.psi_inv, spec.power("f", e), spec.psi)
-            inverse = spec.psi_inv
+            inverses = (spec.psi, spec.power("f", -e), spec.psi_inv)
         else:
             chain = (spec.power(sym, e),)
-            inverse = spec.power(sym, -e)
-        steps.append((chain, chain[-1].cancellation_bound(inverse)))
+            inverses = (spec.power(sym, -e),)
+        steps.append((chain, tuple(phi.cancellation_bound(inv)
+                                   for phi, inv in zip(chain, inverses))))
     return steps
 
 
@@ -441,12 +501,12 @@ def _candidate_factors(n, core_bound, cap):
     out = []
     for F, _ in enumerate_cvertices(n, min(core_bound, 5), cap=cap // 2):
         out.append(F)
-    # rank-2 candidates from pairs of short primitives
+    # rank-2 candidates from pairs of short primitives, less F_2 itself
     small = [w for _, w in enumerate_cvertices(n, 3, cap=12)]
     for i in range(len(small)):
         for j in range(i + 1, len(small)):
             F = factor_class([small[i], small[j]])
-            if F.rank != 2 or F.complexity() > core_bound:
+            if F.rank != 2 or F.rank == n or F.complexity() > core_bound:
                 continue
             if not is_free_factor(F).is_factor:
                 continue
@@ -492,6 +552,7 @@ def build_pingpong(A, psi, m_emp, d_emp, fill_bound=8):
     Fibonacci automorphism a -> b, b -> ab (the identity on the other
     letters) and a transforming automorphism psi with B = psi(A)."""
     n = A.rank_ambient
+    _require_proper(A)
     if A.rank != 2:
         raise ValueError("the Fibonacci automorphism needs rank-2 A")
     fib = Automorphism(n, (Word(n, (2,)), Word(n, (1, 2)),
@@ -511,6 +572,15 @@ def build_pingpong(A, psi, m_emp, d_emp, fill_bound=8):
     return spec
 
 
+def _require_proper(*factors):
+    """ValueError for a factor of rank >= n: F_n itself is invariant under
+    every automorphism, so it is no evidence either way."""
+    for F in factors:
+        if F.rank >= F.rank_ambient:
+            raise ValueError("need factors of rank < n (a free factor of "
+                             "rank n is all of F_n)")
+
+
 def _subrose_map(A, to_A=None):
     """An automorphism carrying to_A^-1(A) (A itself when to_A is None)
     onto the sub-rose on the first rank(A) letters, built by composing A's
@@ -524,6 +594,7 @@ def _subrose_map(A, to_A=None):
 def spec_from_pair(f, g, A, B, m_emp, d_emp, fill_bound=8):
     """A PingPongSpec from explicitly given f preserving A and g preserving
     B, without a known conjugating automorphism."""
+    _require_proper(A, B)
     fill = fill_check(A, B, s=fill_bound)
     h, _ = restriction(f, A)
     rate = translation_estimate(h)

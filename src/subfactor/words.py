@@ -57,8 +57,77 @@ def _join(pieces, stop=None):
     return tuple(out)
 
 
+def _released(phi, letters, bound, trim=0):
+    """The letters of phi(w), w reduced with the given letters, in order and
+    less trim letters at each end, each passed on as soon as no later piece
+    can cancel it.  After the pieces of a prefix p of w, phi(w) begins with
+    all of phi(p) but its last bound letters when bound is Cooper's
+    constant of phi (Automorphism.cancellation_bound).  Fed to _join, the
+    letters reach it in the order phi(w) gives them, so its stop comes at
+    the same place.  RuntimeError when a piece cancels a released letter or
+    the image ends inside the released ones: the bound was too small."""
+    return itertools.chain.from_iterable(_release(phi, letters, bound, trim))
+
+
+def _release(phi, letters, bound, trim):
+    """The runs of letters _released passes on, one list per piece."""
+    out = []
+    pop = out.pop
+    done = trim  # out[trim:done] are released
+    for p in phi.pieces(letters):
+        k = 0
+        n = len(p)
+        while k < n and out and out[-1] == -p[k]:
+            pop()
+            k += 1
+        if done > trim and len(out) < done:
+            raise RuntimeError("a piece cancelled a released letter")
+        out.extend(p[k:] if k else p)
+        end = len(out) - bound - trim
+        if end > done:
+            yield out[done:end]
+            done = end
+    if len(out) - trim < done:
+        raise RuntimeError("the image ended inside its released letters")
+    yield out[done:len(out) - trim]
+
+
+def _cyclic_released(phi, letters, bound):
+    """The letters of a cyclically reduced conjugate of phi(w), w
+    cyclically reduced with the given letters, streamed as by _released
+    with bound Cooper's constant of phi.
+
+    phi(w) = c v c^-1 with v cyclically reduced and |c| <= bound: phi(w^m)
+    lies within bound of [1, phi(w^2m)] for every m (Cooper, J. Algebra
+    111, 1987), so, translating by phi(w)^-m and letting m grow, 1 lies
+    within bound of the axis of phi(w), and |c| is that distance.  So c is
+    read off the first letters of phi(w) and of phi(w^-1), and v is phi(w)
+    less |c| letters at each end."""
+    head = tuple(itertools.islice(_released(phi, letters, bound),
+                                  2 * bound + 1))
+    if len(head) <= 2 * bound:  # the whole image
+        return _cyclic_core(head)
+    tail = tuple(itertools.islice(
+        _released(phi, _inverse_letters(letters), bound), bound + 1))
+    k = 0
+    while head[k] == tail[k]:
+        k += 1
+        if k > bound:
+            raise RuntimeError("the image conjugates by more than the bound")
+    return _released(phi, letters, bound, k)
+
+
 def _inverse_letters(letters):
     return tuple(map(neg, reversed(letters)))
+
+
+def _cyclic_core(letters):
+    """The letters of the cyclic reduction of reduced letters."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return letters[i:j]
 
 
 def _image_table(images):
@@ -166,12 +235,9 @@ def word_to_str(w):
 
 def cyclic_reduce(w):
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == -letters[j - 1]:
-        i += 1
-        j -= 1
-    return _word(w.rank, letters[i:j]), _word(w.rank, letters[:i])
+    core = _cyclic_core(w.letters)
+    i = (len(w) - len(core)) // 2
+    return _word(w.rank, core), _word(w.rank, w.letters[:i])
 
 
 def is_cyclically_reduced(w):
@@ -261,12 +327,16 @@ class Automorphism:
         of a prefix of w is longer than stop."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
+        letters = _join(self.pieces(w.letters), stop)
+        return None if letters is None else _word(self.rank, letters)
+
+    def pieces(self, letters):
+        """The image of each letter, in order, as letter tuples."""
         table = self.__dict__.get("_table")
         if table is None:
             table = _image_table(self.images)
             object.__setattr__(self, "_table", table)
-        letters = _join(map(table.__getitem__, w.letters), stop)
-        return None if letters is None else _word(self.rank, letters)
+        return map(table.__getitem__, letters)
 
     def cancellation_bound(self, inverse):
         """Cooper's bounded cancellation constant, given the inverse:

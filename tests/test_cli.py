@@ -97,6 +97,37 @@ def test_usage_errors(capsys):
         assert err.count("\n") == 1
 
 
+PINGPONG_3 = ["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pingpong", "--rank", "2", "--f", "b,ab", "--g", "a,b", "--a", "a,b",
+     "--b", "a,b"],
+    PINGPONG_3 + ["--a", "a,b", "--b", "a,b,c"],
+])
+def test_pingpong_refuses_the_whole_group(capsys, argv):
+    # F_n is invariant under every automorphism, so it is no factor to
+    # play ping-pong with
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: need factors of rank < n (a free factor "
+                            "of rank n is all of F_n)\n")
+
+
+@pytest.mark.parametrize("constants", [
+    ["--m-emp", "-5", "--d-emp", "-5"], ["--m-emp", "-1"], ["--d-emp", "-1"],
+])
+def test_pingpong_refuses_negative_constants(capsys, constants):
+    # a negative M_emp or D_emp would lower the threshold the power N
+    # must pass
+    assert main(PINGPONG_3 + constants) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --m-emp and --d-emp must not be "
+                            "negative\n")
+
+
 def test_internal_failure_is_not_a_usage_error(capsys, monkeypatch):
     # a failed consistency check is a bug, not bad input: it leaves main
     # with its traceback instead of exiting 2

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from subfactor import irreducible
+from subfactor import irreducible, stallings
 from subfactor.irreducible import (
     FillReport,
     PingPongSpec,
@@ -36,7 +36,7 @@ from subfactor.stallings import (
     invert_automorphism,
     random_automorphism,
 )
-from subfactor.words import Automorphism, Word, word_from_str
+from subfactor.words import Automorphism, Word, cyclic_reduce, word_from_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import fill_scan  # noqa: E402
@@ -455,12 +455,107 @@ def test_apply_capped_matches_full_images():
 
 def test_apply_capped_is_exact_when_a_prefix_image_overshoots():
     # psi^-2 then psi^2 is the identity, yet prefixes of psi^2(psi^-2(a))
-    # pass 100 letters: the 40-letter cap at cap = 1 still keeps <a>, and
-    # only because the stop length allows for the cancellation bound
+    # pass 100 letters: the cap at cap = 1 still keeps <a>, and only
+    # because the stops allow for the cancellation bound of psi^2
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
     inv = invert_automorphism(psi)
     chain = (inv * inv, psi * psi)
     A = factor_from_strs(3, ["a"])
-    bound = chain[-1].cancellation_bound(chain[0])
-    assert irreducible._apply_capped((chain, bound), A, 1) == A
-    assert irreducible._apply_capped((chain, 0), A, 1) is None
+    bounds = (chain[0].cancellation_bound(chain[1]),
+              chain[1].cancellation_bound(chain[0]))
+    assert irreducible._apply_capped((chain, bounds), A, 1) == A
+    assert irreducible._apply_capped((chain, (bounds[0], 0)), A, 1) is None
+
+
+def test_apply_capped_decides_rank_one_classes_by_cyclic_length():
+    # a rank-1 image's core is a cycle of its cyclic length L: at caps
+    # L - 1, L and L + 1, each step of the shipped spec gives the core the
+    # full image gives (compared edge for edge, which is stricter than
+    # class equality and needs no canonical code), and only caps below L
+    # stop every orbit
+    spec = shipped_spec()
+    N = spec.N
+    syl = [("f", N), ("g", N), ("g", -N)]
+    steps = irreducible._syllable_steps(spec, syl)
+    full = [spec.f ** N, spec.g ** N, invert_automorphism(spec.g) ** N]
+    classes = [C for C in irreducible._candidate_factors(3, 8, 80)
+               if C.rank == 1]
+    assert len(classes) == 40
+    kept = 0
+    for step, auto in zip(steps, full):
+        for C in classes[::8]:
+            L = len(cyclic_reduce(auto(C.gens()[0]))[0])
+            for cap in (L - 1, L, L + 1):
+                want, _ = full_capped(auto, C, cap)
+                got = irreducible._apply_capped(step, C, cap)
+                assert (got is None) == (want is None)
+                assert want is None or got.core == want.core
+                assert want is not None or cap < L or L > 40 * cap
+                kept += want is not None
+    assert kept > 0
+
+
+def test_capped_rank_one_step_folds_nothing(monkeypatch):
+    # a rank-1 class whose image passes the cap is refused on its cyclic
+    # length alone: no fold, and no canonical code for its generator
+    spec = shipped_spec()
+    step = irreducible._syllable_steps(spec, [("g", spec.N)])[0]
+    C = factor_from_strs(3, ["c"])
+    calls = []
+    monkeypatch.setattr(irreducible, "factor_class",
+                        lambda gens: calls.append("factor_class"))
+    real = stallings.canonical_code
+    monkeypatch.setattr(stallings, "canonical_code", lambda core: (
+        calls.append("canonical_code") or real(core)))
+    assert irreducible._apply_capped(step, C, 400) is None
+    assert calls == []
+    monkeypatch.undo()
+    g = spec.g ** spec.N
+    assert len(cyclic_reduce(g(Word(3, (3,))))[0]) > 400
+    assert full_capped(g, C, 400) == (None, "core")
+
+
+def test_pingpong_refuses_the_whole_group():
+    # F_n is invariant under every automorphism, so a factor of rank n is
+    # refused, and no candidate has rank n
+    f = Automorphism.from_strs(2, ["b", "ab"])
+    g = Automorphism.from_strs(2, ["a", "b"])
+    F2 = factor_from_strs(2, ["a", "b"])
+    with pytest.raises(ValueError, match="rank < n"):
+        spec_from_pair(f, g, F2, F2, m_emp=1, d_emp=1)
+    with pytest.raises(ValueError, match="rank < n"):
+        build_pingpong(F2, g, m_emp=1, d_emp=1)
+    A = factor_from_strs(3, ["a", "b"])
+    with pytest.raises(ValueError, match="rank < n"):
+        spec_from_pair(Automorphism.from_strs(3, ["b", "ab", "c"]),
+                       Automorphism.identity(3), A,
+                       factor_from_strs(3, ["a", "b", "c"]),
+                       m_emp=1, d_emp=1)
+    for n, count in ((2, None), (3, 72)):
+        found = irreducible._candidate_factors(n, 8, 80)
+        assert found and all(F.rank < n for F in found)
+        assert count is None or len(found) == count
+
+
+def test_rank_one_chain_hands_on_cyclic_reductions():
+    # the first stage conjugates by a long word x, yet the cyclic chain
+    # still hands each later stage a cyclically reduced conjugate, so the
+    # last stage's image keeps within 3B of the cyclic length L
+    x = word_from_str(3, "bcbcbcbcbcbc")
+    gens = [Word(3, (i,)) for i in (1, 2, 3)]
+    conj = Automorphism(3, tuple(x * w * ~x for w in gens))
+    unconj = Automorphism(3, tuple(~x * w * x for w in gens))
+    fib = Automorphism.from_strs(3, ["b", "ab", "c"])
+    fib4, fib4_inv = fib ** 4, invert_automorphism(fib) ** 4
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    psi_inv = invert_automorphism(psi)
+    step = ((conj, fib4, psi), (conj.cancellation_bound(unconj),
+                                fib4.cancellation_bound(fib4_inv),
+                                psi.cancellation_bound(psi_inv)))
+    for text in ("a", "ab", "abC", "aacb"):
+        w = word_from_str(3, text)
+        L = len(cyclic_reduce(psi(fib4(conj(w))))[0])
+        got = irreducible._image(step, w.letters, L + 3 * step[1][-1],
+                                 cyclic=True)
+        assert got is not None
+        assert len(cyclic_reduce(Word(3, got))[0]) == L

@@ -11,6 +11,10 @@ from subfactor.stallings import invert_automorphism, random_automorphism
 from subfactor.words import (
     Automorphism,
     Word,
+    _cyclic_core,
+    _cyclic_released,
+    _join,
+    _released,
     abelianize,
     cyclic_reduce,
     cyclic_words,
@@ -230,6 +234,52 @@ def test_cancellation_is_bounded(rank):
             assert phi(u * v, stop=len(full) + bound) == full
             assert phi(u * v, stop=len(full) - 1) is None
     assert most > 0
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_streamed_stage_gives_the_full_image(rank):
+    # phi's letters, released one by one as its Cooper bound certifies
+    # them, make phi(w); fed to psi they give psi(phi(w)) and the same stop
+    # as the full image does; and for w cyclically reduced the cyclic
+    # stream is the cyclic reduction of phi(w)
+    rng = random.Random(30 + rank)
+    autos = [random_automorphism(rank, rng, length=rng.randint(2, 8))
+             for _ in range(6)]
+    autos = [(phi, phi.cancellation_bound(invert_automorphism(phi)))
+             for phi in autos]
+    stopped = 0
+    for (phi, bound), (psi, _) in zip(autos, autos[1:] + autos[:1]):
+        for _ in range(20):
+            w = _random_reduced(rank, rng, rng.randint(1, 40))
+            if not w:
+                continue
+            full = phi(w).letters
+            assert tuple(_released(phi, w.letters, bound)) == full
+            whole = _join(psi.pieces(full))
+            for stop in (None, len(whole), len(whole) - 1,
+                         rng.randint(0, len(whole))):
+                want = _join(psi.pieces(full), stop)
+                got = _join(psi.pieces(_released(phi, w.letters, bound)),
+                            stop)
+                assert got == want
+                stopped += got is None
+            u = cyclic_reduce(w)[0].letters
+            assert (tuple(_cyclic_released(phi, u, bound))
+                    == _cyclic_core(phi(Word(rank, u)).letters))
+    assert stopped > 0
+
+
+def test_streamed_stage_with_too_small_a_bound_raises():
+    # psi^2 cancels most of psi^2's image of psi^-2(a) on the way back to
+    # a, so a stream that releases letters at once is caught cancelling one
+    psi = Automorphism.from_strs(3, list(FILLING_PSI))
+    sq = psi * psi
+    inv = invert_automorphism(psi)
+    w = (inv * inv)(Word(3, (1,))).letters
+    bound = sq.cancellation_bound(inv * inv)
+    assert tuple(_released(sq, w, bound)) == (1,)
+    with pytest.raises(RuntimeError):
+        tuple(_released(sq, w, 0))
 
 
 def type2_cuts(rank):
