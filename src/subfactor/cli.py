@@ -4,7 +4,8 @@ values, ping-pong evidence, and verification suites.
 All reports are JSON with sorted keys; identical configuration and seed
 give byte-identical output.  Exit codes: 0 decided/pass, 1 a verification
 suite failed, 2 usage or domain error (bad options, or input the
-mathematics rejects, such as a non-primitive word for farey), 3 no answer
+mathematics rejects: a factor that is not a free factor, or a word for
+farey whose class is not primitive), 3 no answer
 where the command wants one: for project and distance a projection is
 empty, and for pingpong the fill check found a witness and no invariant
 factor turned up, so there is no irreducibility evidence (classify always
@@ -15,6 +16,7 @@ it raises RuntimeError with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -62,38 +64,9 @@ from .stallings import (
 )
 from .words import Automorphism, Word, word_from_str, word_to_str
 
-CACHE_ENV = "SUBFACTOR_CACHE"
-
 # the shipped filling pair: B = psi(<a,b>) and <a,b> have no common
 # disjoint rank-1 class (both have corank 1, so fill_check decides exactly)
 FILLING_PSI = ("bcAcbbcAcBCaCCBCaCBBCaCB", "BCaCCCB", "bcAcbbcAc")
-
-
-class Config:
-    def __init__(self, seed=0, complexity_bound=8, samples=8, powers=6,
-                 factor_size=8, cache_path=None):
-        self.seed = seed
-        self.complexity_bound = complexity_bound
-        self.samples = samples
-        self.powers = powers
-        self.factor_size = factor_size
-        self.cache_path = cache_path
-
-
-BUDGETS = ("complexity_bound", "samples", "powers", "factor_size")
-
-
-def config_from_args(args):
-    cfg = Config()
-    for name in ("seed",) + BUDGETS:
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    cfg.cache_path = getattr(args, "cache", None) or os.environ.get(CACHE_ENV)
-    for name in BUDGETS:
-        if getattr(cfg, name) <= 0:
-            raise UsageError(f"budget {name} must be positive")
-    return cfg
 
 
 class UsageError(Exception):
@@ -171,13 +144,18 @@ def append_cache(path, known):
 
 
 def parse_factor(rank, text):
+    """The factor of F_rank that the comma-separated words generate;
+    UsageError unless they are words of F_rank generating a free factor."""
     gens = [p.strip() for p in text.split(",") if p.strip()]
     if not gens:
         raise UsageError("empty factor")
     try:
-        return factor_from_strs(rank, gens)
+        F = factor_from_strs(rank, gens)
     except ValueError as e:
         raise UsageError(str(e))
+    if not is_free_factor(F).is_factor:
+        raise UsageError(f"<{text}> is not a free factor of F_{rank}")
+    return F
 
 
 def factor_json(F):
@@ -192,17 +170,18 @@ def emit(report):
 # commands
 
 
-def cmd_classify(args, cfg):
+def cmd_classify(args):
     A = parse_factor(args.rank, args.a)
     B = parse_factor(args.rank, args.b)
     emit(classify_pair(A, B).to_json())
     return 0
 
 
-def cmd_project(args, cfg):
+def cmd_project(args):
     A = parse_factor(args.rank, args.a)
     B = parse_factor(args.rank, args.b)
-    members = sorted(project_factor(A, B, samples=cfg.samples, seed=cfg.seed),
+    members = sorted(project_factor(A, B, samples=args.samples,
+                                    seed=args.seed),
                      key=lambda F: F.code)
     report = {"members": [factor_json(F) for F in members]}
     if members:
@@ -212,33 +191,40 @@ def cmd_project(args, cfg):
     return 0 if members else 3
 
 
-def cmd_distance(args, cfg):
+def cmd_distance(args):
     A = parse_factor(args.rank, args.a)
     X = parse_factor(args.rank, args.x)
     Y = parse_factor(args.rank, args.y)
-    px = project_factor(A, X, samples=cfg.samples, seed=cfg.seed)
-    py = project_factor(A, Y, samples=cfg.samples, seed=cfg.seed)
+    px = project_factor(A, X, samples=args.samples, seed=args.seed)
+    py = project_factor(A, Y, samples=args.samples, seed=args.seed)
     if not px or not py:
         emit({"error": "empty projection (nested or disjoint)",
               "x_projects": bool(px), "y_projects": bool(py)})
         return 3
     lo, hi = factor_distance(A, px, py)
     emit({"lower": lo, "upper": hi,
-          "config": {"seed": cfg.seed, "samples": cfg.samples}})
+          "config": {"seed": args.seed, "samples": args.samples}})
     return 0
 
 
-def cmd_farey(args, cfg):
-    u = word_from_str(2, args.u)
-    v = word_from_str(2, args.v)
-    du = primitive_vector(factor_class([u]))
-    dv = primitive_vector(factor_class([v]))
+def cmd_farey(args):
+    du, dv = _primitive_slope(args.u), _primitive_slope(args.v)
     d = farey_distance(du, dv)
     emit({"u": list(du), "v": list(dv), "distance": d})
     return 0
 
 
-def cmd_pingpong(args, cfg):
+def _primitive_slope(text):
+    """The slope of a word of F_2 whose class is a rank-1 free factor; a
+    coprime slope alone does not make it one (aabbb has slope (2, 3))."""
+    F = factor_class([word_from_str(2, text)])
+    slope = primitive_vector(F)
+    if not is_free_factor(F).is_factor:
+        raise UsageError(f"{text} is not a primitive class of F_2")
+    return slope
+
+
+def cmd_pingpong(args):
     if args.m_emp < 0 or args.d_emp < 0:
         raise UsageError("--m-emp and --d-emp must not be negative")
     A = parse_factor(args.rank, args.a)
@@ -247,9 +233,9 @@ def cmd_pingpong(args, cfg):
     g = Automorphism.from_strs(args.rank, [s.strip() for s in args.g.split(",")])
     syllables = _parse_syllables(args.syllables)
     spec = spec_from_pair(f, g, A, B, m_emp=args.m_emp, d_emp=args.d_emp,
-                          fill_bound=cfg.complexity_bound)
-    ev = pingpong_word(spec, syllables, powers=cfg.powers,
-                       core_bound=cfg.factor_size)
+                          fill_bound=args.complexity_bound)
+    ev = pingpong_word(spec, syllables, powers=args.powers,
+                       core_bound=args.factor_size)
     report = {
         "N": spec.N,
         "fill": {"witnesses": [factor_json(F) for F in spec.fill.witnesses],
@@ -262,8 +248,8 @@ def cmd_pingpong(args, cfg):
         "growth_table": [[name, lo, hi] for name, lo, hi in ev.growth_table],
         "candidates": ev.candidates,
         "capped_orbits": ev.capped,
-        "config": {"seed": cfg.seed, "powers": cfg.powers,
-                   "factor_size": cfg.factor_size,
+        "config": {"seed": args.seed, "powers": args.powers,
+                   "factor_size": args.factor_size,
                    "m_emp": args.m_emp, "d_emp": args.d_emp},
     }
     emit(report)
@@ -617,40 +603,27 @@ def suite_progress(samples, seed):
                 "filling": not spec.fill.witnesses}
 
 
+# each suite with its default sample count
 SUITES = {
-    "farey-oracle": suite_farey_oracle,
-    "trichotomy": suite_trichotomy,
-    "diameter": suite_diameter,
-    "behrstock": suite_behrstock,
-    "bgit": suite_bgit,
-    "near-embedded": suite_near_embedded,
-    "joint-embedding": suite_joint_embedding,
-    "equivariance": suite_equivariance,
-    "xset": suite_xset,
-    "progress": suite_progress,
-}
-
-DEFAULT_SAMPLES = {
-    "farey-oracle": 60,
-    "trichotomy": 30,
-    "diameter": 10,
-    "behrstock": 20,
-    "bgit": 10,
-    "near-embedded": 40,
-    "joint-embedding": 20,
-    "equivariance": 20,
-    "xset": 12,
-    "progress": 3,
+    "farey-oracle": (suite_farey_oracle, 60),
+    "trichotomy": (suite_trichotomy, 30),
+    "diameter": (suite_diameter, 10),
+    "behrstock": (suite_behrstock, 20),
+    "bgit": (suite_bgit, 10),
+    "near-embedded": (suite_near_embedded, 40),
+    "joint-embedding": (suite_joint_embedding, 20),
+    "equivariance": (suite_equivariance, 20),
+    "xset": (suite_xset, 12),
+    "progress": (suite_progress, 3),
 }
 
 
-def cmd_verify(args, cfg):
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}")
-    samples = args.samples or DEFAULT_SAMPLES[args.suite]
-    ok, metrics = SUITES[args.suite](samples, cfg.seed)
+def cmd_verify(args):
+    suite, default = SUITES[args.suite]
+    samples = args.samples or default
+    ok, metrics = suite(samples, args.seed)
     emit({"suite": args.suite, "pass": ok, "samples": samples,
-          "seed": cfg.seed, "metrics": metrics})
+          "seed": args.seed, "metrics": metrics})
     return 0 if ok else 1
 
 
@@ -658,44 +631,62 @@ def cmd_verify(args, cfg):
 # entry point
 
 
+def positive(text):
+    """An argparse type: a positive integer."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
+@functools.cache
 def build_parser():
+    """The parser, built once per process (building it costs more than a
+    classify).  Each command takes the budgets it reads, after its name;
+    only --cache goes before the command."""
     p = argparse.ArgumentParser(
         prog="subfactor",
         description="exact subfactor projections for outer automorphisms "
                     "of free groups")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache", help=f"reduction cache path (or ${CACHE_ENV})")
-    p.add_argument("--samples", type=int, dest="samples", default=None)
-    p.add_argument("--complexity-bound", type=int, dest="complexity_bound")
-    p.add_argument("--powers", type=int, dest="powers")
-    p.add_argument("--factor-size", type=int, dest="factor_size")
+    p.add_argument("--cache", help="reduction cache path")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", help="trichotomy for a factor pair")
+    def command(name, func, help, **budgets):
+        """A subcommand; given budgets (option name: default), it also
+        takes --seed and each budget as a positive integer."""
+        c = sub.add_parser(name, help=help)
+        c.set_defaults(func=func)
+        if budgets:
+            c.add_argument("--seed", type=int, default=0)
+        for option, default in budgets.items():
+            c.add_argument("--" + option.replace("_", "-"), type=positive,
+                           default=default)
+        return c
+
+    c = command("classify", cmd_classify, "trichotomy for a factor pair")
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
-    c.set_defaults(func=cmd_classify)
 
-    c = sub.add_parser("project", help="projection of B to A's factor complex")
+    c = command("project", cmd_project,
+                "projection of B to A's factor complex", samples=8)
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
-    c.set_defaults(func=cmd_project)
 
-    c = sub.add_parser("distance", help="projection distance d_A(X, Y)")
+    c = command("distance", cmd_distance, "projection distance d_A(X, Y)",
+                samples=8)
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--a", required=True)
     c.add_argument("--x", required=True)
     c.add_argument("--y", required=True)
-    c.set_defaults(func=cmd_distance)
 
-    c = sub.add_parser("farey", help="exact Farey distance of two primitives")
+    c = command("farey", cmd_farey, "exact Farey distance of two primitives")
     c.add_argument("--u", required=True)
     c.add_argument("--v", required=True)
-    c.set_defaults(func=cmd_farey)
 
-    c = sub.add_parser("pingpong", help="bounded irreducibility evidence")
+    c = command("pingpong", cmd_pingpong, "bounded irreducibility evidence",
+                powers=6, factor_size=8, complexity_bound=8)
     c.add_argument("--rank", type=int, required=True)
     c.add_argument("--f", required=True, help="images of f, comma separated")
     c.add_argument("--g", required=True, help="images of g, comma separated")
@@ -705,27 +696,25 @@ def build_parser():
                    help="alternating f,g exponents")
     c.add_argument("--m-emp", type=int, default=3)
     c.add_argument("--d-emp", type=int, default=2)
-    c.set_defaults(func=cmd_pingpong)
 
-    c = sub.add_parser("verify", help="run a verification suite")
+    # --samples defaults to the suite's own count
+    c = command("verify", cmd_verify, "run a verification suite",
+                samples=None)
     c.add_argument("--suite", required=True, choices=sorted(SUITES))
-    c.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        cfg = config_from_args(args)
-        known = load_cache(cfg.cache_path)
+        known = load_cache(args.cache)
         try:
-            return args.func(args, cfg)
+            return args.func(args)
         finally:
-            append_cache(cfg.cache_path, known)
+            append_cache(args.cache, known)
     except (UsageError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

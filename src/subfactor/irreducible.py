@@ -547,7 +547,7 @@ def _growth_table(spec):
     return rows
 
 
-def build_pingpong(A, psi, m_emp, d_emp, fill_bound=8):
+def build_pingpong(A, psi, m_emp, d_emp):
     """Assemble a PingPongSpec from a rank-2 factor A preserved by the
     Fibonacci automorphism a -> b, b -> ab (the identity on the other
     letters) and a transforming automorphism psi with B = psi(A)."""
@@ -562,7 +562,7 @@ def build_pingpong(A, psi, m_emp, d_emp, fill_bound=8):
     psi_inv = invert_automorphism(psi)
     B = apply_to_factor(psi, A)
     g = psi * fib * psi_inv
-    fill = fill_check(A, B, s=fill_bound, phi_b=_subrose_map(A, psi_inv))
+    fill = fill_check(A, B, phi_b=_subrose_map(A, psi_inv))
     h, _ = restriction(fib, A)
     rate = translation_estimate(h)
     N = choose_power(rate, m_emp, d_emp)

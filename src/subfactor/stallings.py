@@ -240,8 +240,7 @@ class GraphBuilder:
                 a, b = find(parent, ev), find(parent, fv)
             else:
                 a, b = find(parent, eu), find(parent, fu)
-            base = (find(parent, self.basepoint)
-                    if self.basepoint is not None else None)
+            base = find(parent, self.basepoint)
             if ep is not None and a != b:
                 # make prov of f agree with prov of e before identifying
                 if b != base:
@@ -273,8 +272,7 @@ class GraphBuilder:
             rec[0] = find(parent, rec[0])
             rec[1] = find(parent, rec[1])
         self.vertices = {v for v in self.vertices if find(parent, v) == v}
-        if self.basepoint is not None:
-            self.basepoint = find(parent, self.basepoint)
+        self.basepoint = find(parent, self.basepoint)
         del self._incident
         del self._parent
 

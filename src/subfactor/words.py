@@ -322,13 +322,11 @@ class Automorphism:
     def from_strs(rank, texts):
         return Automorphism(rank, tuple(word_from_str(rank, t) for t in texts))
 
-    def __call__(self, w, stop=None):
-        """The image of w; given a stop length, None as soon as the image
-        of a prefix of w is longer than stop."""
+    def __call__(self, w):
+        """The image of w."""
         if w.rank != self.rank:
             raise ValueError("rank mismatch")
-        letters = _join(self.pieces(w.letters), stop)
-        return None if letters is None else _word(self.rank, letters)
+        return _word(self.rank, _join(self.pieces(w.letters)))
 
     def pieces(self, letters):
         """The image of each letter, in order, as letter tuples."""

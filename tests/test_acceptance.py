@@ -269,7 +269,7 @@ def test_pingpong_evidence():
     assert all(_disjoint_from(F, cA, None) for F in (A, B0))
 
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
-    spec = build_pingpong(A, psi, m_emp=M_EMP, d_emp=D_EMP, fill_bound=8)
+    spec = build_pingpong(A, psi, m_emp=M_EMP, d_emp=D_EMP)
     # the shipped pair fills: both factors have corank 1, so this is
     # decided exactly and not up to a word length
     assert not spec.fill and spec.fill.bound is None

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from subfactor import cli, projection
-from subfactor.cli import CACHE_ENV, load_cache, main
+from subfactor.cli import build_parser, load_cache, main
 from subfactor.projection import Classification, classify_pair
 from subfactor.stallings import (
     _reduction_cache,
@@ -73,8 +76,13 @@ def test_farey(capsys):
 def test_usage_errors(capsys):
     assert main(["classify", "--rank", "3", "--a", "", "--b", "c"]) == 2
     capsys.readouterr()
-    assert main(["--samples", "0", "farey", "--u", "a", "--v", "b"]) == 2
-    capsys.readouterr()
+    # budgets are positive
+    for argv in (["verify", "--suite", "xset", "--samples", "0"],
+                 ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c",
+                  "--samples", "-1"],
+                 PINGPONG_3 + ["--powers", "0"]):
+        assert main(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
     assert main(["nonsense"]) == 2
     capsys.readouterr()
     # neither free-factor nor disjointness verdicts need a search budget,
@@ -90,11 +98,74 @@ def test_usage_errors(capsys):
             (["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc",
               "--syllables", "1"], "need an alternating word"),
             (["project", "--rank", "3", "--a", "aa", "--b", "b"],
+             "<aa> is not a free factor of F_3"),
+            (["project", "--rank", "3", "--a", "a", "--b", "bab"],
              "need rank(A) >= 2")):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, factor", [
+    (["classify", "--rank", "3", "--a", "aa,b", "--b", "ab,c"], "<aa,b>"),
+    (["project", "--rank", "3", "--a", "a,b", "--b", "abAB,c"],
+     "<abAB,c>"),
+    (["distance", "--rank", "3", "--a", "a,b", "--x", "ab,c", "--y", "bb,c"],
+     "<bb,c>"),
+    (["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc", "--b",
+      "b,cc"], "<b,cc>"),
+])
+def test_commands_refuse_non_factors(capsys, argv, factor):
+    # the trichotomy and pi_A(B) are defined for free factors only; <aa, b>
+    # has the rank of a factor but is no factor, and once read "overlap"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {factor} is not a free factor of "
+                            f"F_3\n")
+
+
+def test_farey_refuses_non_primitive_words(capsys):
+    # a^2 b^3 has the coprime slope (2, 3), yet no basis of F_2 contains it
+    assert main(["farey", "--u", "aabbb", "--v", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: aabbb is not a primitive class of F_2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--rank", "3", "--a", "a,b", "--b", "b,c", "--powers", "2"],
+    ["classify", "--rank", "3", "--a", "a,b", "--b", "b,c", "--samples", "2"],
+    ["farey", "--u", "a", "--v", "abb", "--seed", "1"],
+    ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c", "--powers", "2"],
+    ["verify", "--suite", "xset", "--factor-size", "2"],
+    # budgets follow the command they belong to
+    ["--samples", "5", "verify", "--suite", "xset"],
+    ["--powers", "0", "classify", "--rank", "3", "--a", "a,b", "--b", "b,c"],
+])
+def test_commands_refuse_budgets_they_do_not_read(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err or (
+        "invalid choice" in captured.err)
+
+
+def readme_commands():
+    """The argument lists of the subfactor command lines in README.md's
+    sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("subfactor ")]
+
+
+def test_readme_commands_parse():
+    argvs = readme_commands()
+    assert len(argvs) >= 7
+    for argv in argvs:
+        assert build_parser().parse_args(argv).func is not None
 
 
 PINGPONG_3 = ["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc"]
@@ -142,7 +213,6 @@ def test_split_in_another_frame(capsys, monkeypatch):
     # itself; a complement read off its images without moving it into the
     # frame of <c, B> fails the certificate check, and that failure is a
     # bug that leaves main
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     argv = ["classify", "--rank", "3", "--a", "c", "--b", "BBcBac"]
     A, B = factor_from_strs(3, ["c"]), factor_from_strs(3, ["BBcBac"])
     res = classify_pair(A, B)
@@ -169,10 +239,11 @@ def test_near_embedded_suite_lets_internal_failures_out(monkeypatch):
 def test_reports_deterministic(capsys):
     args = ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c",
             "--seed", "5"]
-    main(args)
+    assert main(args) == 0
     first = capsys.readouterr().out
+    assert json.loads(first)["members"]
     clear_reduction_cache()
-    main(args)
+    assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
 
@@ -264,8 +335,8 @@ def test_cache_reads_records_with_depth(tmp_path):
 def test_trichotomy_gate_can_fail(capsys, monkeypatch):
     monkeypatch.setattr(cli, "classify_pair", lambda A, B: Classification(
         "contained_in", "wrong on purpose"))
-    code, rep = run(capsys, "--samples", "5", "verify", "--suite",
-                    "trichotomy")
+    code, rep = run(capsys, "verify", "--suite", "trichotomy", "--samples",
+                    "5")
     assert code == 1
     assert rep["pass"] is False
 
@@ -273,28 +344,32 @@ def test_trichotomy_gate_can_fail(capsys, monkeypatch):
 def test_bgit_gate_needs_every_path(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cn_distance_bounds",
                         lambda u, v, pool: (1, None, None))
-    code, rep = run(capsys, "--samples", "2", "verify", "--suite", "bgit")
+    code, rep = run(capsys, "verify", "--suite", "bgit", "--samples", "2")
     assert code == 1
     assert rep["pass"] is False
     assert rep["metrics"]["paths"] == 0
 
 
 def test_verify_suite_smoke(capsys):
-    code, rep = run(capsys, "--samples", "5", "verify", "--suite",
-                    "farey-oracle")
+    code, rep = run(capsys, "verify", "--suite", "farey-oracle",
+                    "--samples", "5")
     assert code == 0
     assert rep["pass"] is True
+    assert rep["samples"] == 5
 
-    code, rep = run(capsys, "--samples", "5", "verify", "--suite",
-                    "trichotomy")
+    code, rep = run(capsys, "verify", "--suite", "trichotomy", "--samples",
+                    "5")
     assert code == 0
+    assert rep["samples"] == 5
 
 
 def test_pingpong_command(capsys):
-    code, rep = run(capsys, "--powers", "2", "--factor-size", "6",
-                    "--complexity-bound", "3",
-                    "pingpong", "--rank", "3", "--f", "b,ab,c",
-                    "--g", "a,c,bc", "--m-emp", "1", "--d-emp", "1")
+    code, rep = run(capsys, "pingpong", "--rank", "3", "--f", "b,ab,c",
+                    "--g", "a,c,bc", "--m-emp", "1", "--d-emp", "1",
+                    "--powers", "2", "--factor-size", "6",
+                    "--complexity-bound", "3")
+    assert rep["config"]["powers"] == 2
+    assert rep["config"]["factor_size"] == 6
     assert rep["N"] == 8
     assert rep["syllables"] == [["f", 8], ["g", 8]]
     # <a,b>, <b,c> do not fill (decided exactly, both have corank 1), so

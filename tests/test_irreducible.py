@@ -332,7 +332,7 @@ def test_pingpong_word_with_psi_builds_no_power_of_g(monkeypatch):
     # g^e runs as psi^-1, f^e, psi: neither g ** N nor g^-1 is built
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, ["c", "b", "a"])
-    spec = build_pingpong(A, psi, m_emp=1, d_emp=1, fill_bound=3)
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
 
     class Unpowered(Automorphism):
         def __pow__(self, n):
@@ -363,7 +363,7 @@ def test_pingpong_word_requires_alternation():
 def test_build_pingpong_with_tame_psi():
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, ["c", "b", "a"])
-    spec = build_pingpong(A, psi, m_emp=1, d_emp=1, fill_bound=3)
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
     assert spec.B == factor_from_strs(3, ["b", "c"])
     # this pair does not fill; the report records the witnesses honestly
     assert spec.fill.witnesses
@@ -387,7 +387,7 @@ def test_translate_xset_preserves_certificates():
 def test_window_xsets_align_with_windows():
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, ["c", "b", "a"])
-    spec = build_pingpong(A, psi, m_emp=1, d_emp=1, fill_bound=3)
+    spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
     rows = window_xsets(spec, s=4, cap=3)
     for win, row in zip(chain_windows(spec), rows):
         for F, x in zip(win, row):

@@ -15,7 +15,7 @@ the report sensitive to any change in where the cap fires.
 from pathlib import Path
 
 from subfactor import complex_cn, projection
-from subfactor.cli import CACHE_ENV, main
+from subfactor.cli import main
 from subfactor.stallings import clear_reduction_cache
 
 REPORT = Path(__file__).parent / "data" / "reports" / "pingpong.json"
@@ -23,8 +23,7 @@ ARGV = ["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc",
         "--m-emp", "1", "--d-emp", "1"]
 
 
-def test_pingpong_report_is_unchanged(capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_pingpong_report_is_unchanged(capsys):
     clear_reduction_cache()
     complex_cn._edge_cache.clear()
     projection._dist_to_infinity.cache_clear()

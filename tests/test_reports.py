@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from subfactor import complex_cn, projection
-from subfactor.cli import CACHE_ENV, main
+from subfactor.cli import main
 from subfactor.stallings import clear_reduction_cache
 
 DATA = Path(__file__).parent / "data" / "reports"
@@ -42,9 +42,8 @@ for suite in ("trichotomy", "xset", "joint-embedding", "near-embedded",
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
-def test_report_is_unchanged(name, capsys, monkeypatch):
+def test_report_is_unchanged(name, capsys):
     # a fresh process: no reduction cache file, no warm in-process caches
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     clear_reduction_cache()
     complex_cn._edge_cache.clear()
     projection._dist_to_infinity.cache_clear()

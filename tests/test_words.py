@@ -231,8 +231,10 @@ def test_cancellation_is_bounded(rank):
             # so the image never stops at the stop length |phi(uv)| + bound,
             # and always stops below |phi(uv)|
             full = phi(u * v)
-            assert phi(u * v, stop=len(full) + bound) == full
-            assert phi(u * v, stop=len(full) - 1) is None
+            pieces = (u * v).letters
+            assert (_join(phi.pieces(pieces), stop=len(full) + bound)
+                    == full.letters)
+            assert _join(phi.pieces(pieces), stop=len(full) - 1) is None
     assert most > 0
 
 
