@@ -16,7 +16,6 @@ it raises RuntimeError with its traceback.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -62,7 +61,7 @@ from .stallings import (
     random_automorphism,
     substitute,
 )
-from .words import Automorphism, Word, word_from_str, word_to_str
+from .words import Automorphism, Word, word_to_str
 
 # the shipped filling pair: B = psi(<a,b>) and <a,b> have no common
 # disjoint rank-1 class (both have corank 1, so fill_check decides exactly)
@@ -208,20 +207,10 @@ def cmd_distance(args):
 
 
 def cmd_farey(args):
-    du, dv = _primitive_slope(args.u), _primitive_slope(args.v)
+    du, dv = (primitive_vector(parse_factor(2, t)) for t in (args.u, args.v))
     d = farey_distance(du, dv)
     emit({"u": list(du), "v": list(dv), "distance": d})
     return 0
-
-
-def _primitive_slope(text):
-    """The slope of a word of F_2 whose class is a rank-1 free factor; a
-    coprime slope alone does not make it one (aabbb has slope (2, 3))."""
-    F = factor_class([word_from_str(2, text)])
-    slope = primitive_vector(F)
-    if not is_free_factor(F).is_factor:
-        raise UsageError(f"{text} is not a primitive class of F_2")
-    return slope
 
 
 def cmd_pingpong(args):
@@ -248,7 +237,9 @@ def cmd_pingpong(args):
         "growth_table": [[name, lo, hi] for name, lo, hi in ev.growth_table],
         "candidates": ev.candidates,
         "capped_orbits": ev.capped,
-        "config": {"seed": args.seed, "powers": args.powers,
+        # the search draws nothing at random; the seed field stays for
+        # the reports pinned with it
+        "config": {"seed": 0, "powers": args.powers,
                    "factor_size": args.factor_size,
                    "m_emp": args.m_emp, "d_emp": args.d_emp},
     }
@@ -639,74 +630,74 @@ def positive(text):
     return value
 
 
-@functools.cache
-def build_parser():
-    """The parser, built once per process (building it costs more than a
-    classify).  Each command takes the budgets it reads, after its name;
-    only --cache goes before the command."""
-    p = argparse.ArgumentParser(
+REQUIRED = {"required": True}
+RANK = ("--rank", {"type": int, "required": True})
+SEED = ("--seed", {"type": int, "default": 0})
+SAMPLES = ("--samples", {"type": positive, "default": 8})
+
+# name -> (function, help, options as (flag, add_argument keywords) pairs);
+# each command takes the options it reads and no others
+COMMANDS = {
+    "classify": (cmd_classify, "trichotomy for a factor pair",
+                 [RANK, ("--a", REQUIRED), ("--b", REQUIRED)]),
+    "project": (cmd_project, "projection of B to A's factor complex",
+                [RANK, ("--a", REQUIRED), ("--b", REQUIRED), SEED, SAMPLES]),
+    "distance": (cmd_distance, "projection distance d_A(X, Y)",
+                 [RANK, ("--a", REQUIRED), ("--x", REQUIRED),
+                  ("--y", REQUIRED), SEED, SAMPLES]),
+    "farey": (cmd_farey, "exact Farey distance of two primitives",
+              [("--u", REQUIRED), ("--v", REQUIRED)]),
+    "pingpong": (cmd_pingpong, "bounded irreducibility evidence", [
+        RANK,
+        ("--f", {"required": True, "help": "images of f, comma separated"}),
+        ("--g", {"required": True, "help": "images of g, comma separated"}),
+        ("--a", {"default": "a,b"}),
+        ("--b", {"default": "b,c"}),
+        ("--syllables", {"default": "1,1",
+                         "help": "alternating f,g exponents"}),
+        ("--m-emp", {"type": int, "default": 3}),
+        ("--d-emp", {"type": int, "default": 2}),
+        ("--powers", {"type": positive, "default": 6}),
+        ("--factor-size", {"type": positive, "default": 8}),
+        ("--complexity-bound", {"type": positive, "default": 8})]),
+    "verify": (cmd_verify, "run a verification suite", [
+        ("--suite", {"required": True, "choices": SUITES}),
+        SEED,
+        ("--samples", {"type": positive,
+                       "help": "default: the suite's own count"})]),
+}
+
+
+def parse_args(argv=None):
+    """The options of one call.  The top-level parser reads --cache and
+    the command's name; only that command's parser is then built, since
+    building every command's parser costs more than a classify."""
+    top = argparse.ArgumentParser(
         prog="subfactor",
         description="exact subfactor projections for outer automorphisms "
-                    "of free groups")
-    p.add_argument("--cache", help="reduction cache path")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, **budgets):
-        """A subcommand; given budgets (option name: default), it also
-        takes --seed and each budget as a positive integer."""
-        c = sub.add_parser(name, help=help)
-        c.set_defaults(func=func)
-        if budgets:
-            c.add_argument("--seed", type=int, default=0)
-        for option, default in budgets.items():
-            c.add_argument("--" + option.replace("_", "-"), type=positive,
-                           default=default)
-        return c
-
-    c = command("classify", cmd_classify, "trichotomy for a factor pair")
-    c.add_argument("--rank", type=int, required=True)
-    c.add_argument("--a", required=True)
-    c.add_argument("--b", required=True)
-
-    c = command("project", cmd_project,
-                "projection of B to A's factor complex", samples=8)
-    c.add_argument("--rank", type=int, required=True)
-    c.add_argument("--a", required=True)
-    c.add_argument("--b", required=True)
-
-    c = command("distance", cmd_distance, "projection distance d_A(X, Y)",
-                samples=8)
-    c.add_argument("--rank", type=int, required=True)
-    c.add_argument("--a", required=True)
-    c.add_argument("--x", required=True)
-    c.add_argument("--y", required=True)
-
-    c = command("farey", cmd_farey, "exact Farey distance of two primitives")
-    c.add_argument("--u", required=True)
-    c.add_argument("--v", required=True)
-
-    c = command("pingpong", cmd_pingpong, "bounded irreducibility evidence",
-                powers=6, factor_size=8, complexity_bound=8)
-    c.add_argument("--rank", type=int, required=True)
-    c.add_argument("--f", required=True, help="images of f, comma separated")
-    c.add_argument("--g", required=True, help="images of g, comma separated")
-    c.add_argument("--a", default="a,b")
-    c.add_argument("--b", default="b,c")
-    c.add_argument("--syllables", default="1,1",
-                   help="alternating f,g exponents")
-    c.add_argument("--m-emp", type=int, default=3)
-    c.add_argument("--d-emp", type=int, default=2)
-
-    # --samples defaults to the suite's own count
-    c = command("verify", cmd_verify, "run a verification suite",
-                samples=None)
-    c.add_argument("--suite", required=True, choices=sorted(SUITES))
-    return p
+                    "of free groups",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:10} {about}" for name, (_, about, _) in COMMANDS.items())
+        + "\n\nsubfactor COMMAND -h lists a command's options",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("--cache", help="reduction cache path")
+    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                     help="one of the commands below")
+    top.add_argument("options", nargs=argparse.REMAINDER, metavar="...",
+                     help="the command's options, after its name")
+    call = top.parse_args(argv)
+    func, about, options = COMMANDS[call.command]
+    c = argparse.ArgumentParser(prog=f"subfactor {call.command}",
+                                description=about)
+    c.set_defaults(func=func, cache=call.cache)
+    for flag, keywords in options:
+        c.add_argument(flag, **keywords)
+    return c.parse_args(call.options)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from subfactor import cli, projection
-from subfactor.cli import build_parser, load_cache, main
+from subfactor.cli import load_cache, main, parse_args
 from subfactor.projection import Classification, classify_pair
 from subfactor.stallings import (
     _reduction_cache,
@@ -15,6 +15,8 @@ from subfactor.stallings import (
     is_free_factor,
 )
 from subfactor.words import Automorphism, Word, word_to_str
+
+PINGPONG_3 = ["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc"]
 
 
 @pytest.fixture(autouse=True)
@@ -94,7 +96,9 @@ def test_usage_errors(capsys):
     # domain errors: the mathematics rejects the input (1 means a failed
     # suite, so these exit 2 with one line on stderr, not a traceback)
     for argv, message in (
-            (["farey", "--u", "aa", "--v", "b"], "not a primitive class"),
+            (["farey", "--u", "aa", "--v", "b"],
+             "<aa> is not a free factor of F_2"),
+            (["farey", "--u", "a,b", "--v", "b"], "need a rank-1 factor"),
             (["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc",
               "--syllables", "1"], "need an alternating word"),
             (["project", "--rank", "3", "--a", "aa", "--b", "b"],
@@ -131,7 +135,7 @@ def test_farey_refuses_non_primitive_words(capsys):
     assert main(["farey", "--u", "aabbb", "--v", "a"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: aabbb is not a primitive class of F_2\n"
+    assert captured.err == "error: <aabbb> is not a free factor of F_2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,6 +144,8 @@ def test_farey_refuses_non_primitive_words(capsys):
     ["farey", "--u", "a", "--v", "abb", "--seed", "1"],
     ["project", "--rank", "3", "--a", "a,b", "--b", "ab,c", "--powers", "2"],
     ["verify", "--suite", "xset", "--factor-size", "2"],
+    # the ping-pong search draws nothing at random
+    PINGPONG_3 + ["--seed", "1"],
     # budgets follow the command they belong to
     ["--samples", "5", "verify", "--suite", "xset"],
     ["--powers", "0", "classify", "--rank", "3", "--a", "a,b", "--b", "b,c"],
@@ -150,6 +156,16 @@ def test_commands_refuse_budgets_they_do_not_read(capsys, argv):
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err or (
         "invalid choice" in captured.err)
+
+
+def test_help_lists_every_command(capsys):
+    # only the named command's parser is built, so the top-level help
+    # names the commands itself
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+    assert main(["farey", "-h"]) == 0
+    assert "--u U" in capsys.readouterr().out
 
 
 def readme_commands():
@@ -165,10 +181,7 @@ def test_readme_commands_parse():
     argvs = readme_commands()
     assert len(argvs) >= 7
     for argv in argvs:
-        assert build_parser().parse_args(argv).func is not None
-
-
-PINGPONG_3 = ["pingpong", "--rank", "3", "--f", "b,ab,c", "--g", "a,c,bc"]
+        assert parse_args(argv).func is not None
 
 
 @pytest.mark.parametrize("argv", [
