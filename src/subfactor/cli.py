@@ -522,12 +522,11 @@ def suite_equivariance(samples, seed):
             continue
         d0 = factor_distance(C, pa, pb)
         phi = random_automorphism(3, rng, length=2)
-        Cp = apply_to_factor(phi, C)
-        expr = Expression(Cp.gens())
         cgens = C.gens()
         # phi carries C's canonical representative onto a conjugate
         # d Cp0 d^-1 of Cp's, as in restriction()
-        d = class_frame([phi(w) for w in cgens])
+        Cp, d = class_frame([phi(w) for w in cgens])
+        expr = Expression(Cp.gens())
 
         def translate(member):
             out = []

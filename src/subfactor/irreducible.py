@@ -636,14 +636,12 @@ def translate_xset(xs, h):
     which finds nothing when h stretches every short disjoint class.  The
     image records xs as its source and h as the automorphism it moved
     along, so chain_progress_verify can project xs in place of it."""
-    e = class_frame([h(w) for w in xs.factor.gens()])
+    image, e = class_frame([h(w) for w in xs.factor.gens()])
     members = []
     for v, c in xs.members:
-        imgs = [h(w) for w in v.gens()]
-        d = class_frame(imgs)
-        members.append((factor_class(imgs), ~e * h(c) * d))
-    return XSet(apply_to_factor(h, xs.factor), xs.complexity_bound, members,
-                source=xs, along=h)
+        member, d = class_frame([h(w) for w in v.gens()])
+        members.append((member, ~e * h(c) * d))
+    return XSet(image, xs.complexity_bound, members, source=xs, along=h)
 
 
 def window_xsets(spec, s=5, cap=6, conj_len=3):

@@ -269,12 +269,9 @@ def cover_core(A, G):
     K = len(eids)
     index = {e: i + 1 for i, e in enumerate(eids)}
     b = GraphBuilder(rank=K)
-    base = b.new_vertex()
-    b.basepoint = base
     for w in A.gens():
         path = t.word_to_path(w)
-        letters = tuple(index[e] * s for e, s in path)
-        b.add_loop_word(base, Word(K, letters))
+        b.add_loop_word(Word(K, tuple(index[e] * s for e, s in path)))
     b.fold()
     b.trim(keep_basepoint=True)
     return Immersion(factor=A, target=G, domain=b.to_graph(), eids=eids)

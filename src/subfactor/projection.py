@@ -329,7 +329,7 @@ def find_disjoint_conjugator(A, B):
 
     def frame(F, labels):
         sub = [inv[i - 1] for i in labels]
-        return class_frame(F.gens()) * ~class_frame(sub)
+        return class_frame(F.gens())[1] * ~class_frame(sub)[1]
 
     c = frame(A, labels_a) * ~frame(B, labels_b)
     if split_by(A, B, c) is None:
@@ -355,7 +355,7 @@ def splitting_witness(A, B, c):
     k = A.rank + B.rank
     gens = _joined(A, B, c)
     inv = res.witness_inverse.images
-    e = class_frame(gens) * ~class_frame(inv[:k])
+    e = class_frame(gens)[1] * ~class_frame(inv[:k])[1]
     comp = [e * w * ~e for w in inv[k:]]
     # petals for A and C at vertex 0, for B^c at vertex 1, then the bridge
     petals = ([(0, w) for w in gens[:A.rank] + comp]
@@ -466,9 +466,9 @@ def restriction(f, A):
     Returns (automorphism r of F_rank(A), conjugator d); projections move
     along f by r, pi_A(f X) = r . pi_A(X), in A's frame.
     """
-    if apply_to_factor(f, A) != A:
+    image, d = class_frame([f(w) for w in A.gens()])
+    if image != A:
         raise ValueError("f does not preserve A as a conjugacy class")
-    d = class_frame([f(w) for w in A.gens()])
     expr = Expression(A.gens())
     images = []
     for w in A.gens():

@@ -3,6 +3,9 @@ free-factor decision by Whitehead reduction, and exact automorphism inversion.
 
 Edges are triples (u, v, label) with label a positive generator index; the
 edge read from u to v spells that generator, read backwards its inverse.
+GraphBuilder folds: it keeps one transition table per vertex, {signed
+letter: target}, and gives each folded vertex the least bouquet id of its
+class.
 """
 
 from __future__ import annotations
@@ -114,196 +117,156 @@ def bfs_path(start, goal, items, adjacent, max_depth=None):
 
 
 # ---------------------------------------------------------------------------
-# mutable builder used for folding
+# the folding kernel
 
 
 class GraphBuilder:
-    """Labeled digraph under construction.  Each edge may carry a provenance
-    word; folding keeps loop readings at the basepoint consistent by gauge
-    moves at merged vertices."""
+    """A subgroup graph kept folded as words are read into it.
+
+    Each vertex has a transition table {signed letter: target}: the edge
+    u -x-> v (x > 0) is the entry x: v of u and the entry -x: u of v, and
+    no two entries of one table share a letter.  With a provenance rank,
+    prov maps each (vertex, signed letter) to the letters of the word that
+    step reads, and a loop at the basepoint reads the product of its
+    steps' words.
+
+    Vertex ids are those of the bouquet of the queued words: the basepoint
+    0, then one id per letter of each word but its last, in order.  A
+    folded vertex is the class of the bouquet vertices whose prefixes
+    reach it, and it takes the least id of its class, so no id depends on
+    the order in which the fold merges."""
 
     def __init__(self, rank, prov_rank=None):
         self.rank = rank
         self.prov_rank = prov_rank
-        self.next_vertex = 0
-        self.next_edge = 0
-        self.vertices = set()
-        # edge id -> [u, v, label, prov or None]
-        self.edges = {}
-        self.basepoint = None
+        self.basepoint = 0
+        self.tables = {0: {}}
+        self.prov = {} if prov_rank else None
+        self.words = []
+        self.next_vertex = 1
 
-    def new_vertex(self):
-        v = self.next_vertex
-        self.next_vertex += 1
-        self.vertices.add(v)
-        return v
+    def add_edge(self, u, v, label):
+        """Enter the edge u -label-> v; its slots at u and v must be free."""
+        self.tables.setdefault(u, {})[label] = v
+        self.tables.setdefault(v, {})[-label] = u
 
-    def add_edge(self, u, v, label, prov=None):
-        e = self.next_edge
-        self.next_edge += 1
-        self.edges[e] = [u, v, label, prov]
-        return e
-
-    def add_loop_word(self, base, w, prov=None):
-        """Attach a loop at `base` spelling the word w; prov (if given) is
-        carried by the first edge of the loop."""
-        if not w.letters:
-            return
-        cur = base
-        n = len(w.letters)
-        for i, x in enumerate(w.letters):
-            nxt = base if i == n - 1 else self.new_vertex()
-            p = prov if (i == 0 and prov is not None) else (
-                Word.identity(self.prov_rank) if self.prov_rank else None)
-            if x > 0:
-                self.add_edge(cur, nxt, x, p)
-            else:
-                # read backwards: edge from nxt to cur
-                self.add_edge(nxt, cur, -x, ~p if p is not None else None)
-            cur = nxt
-
-    # -- folding --------------------------------------------------------
-
-    def _gauge(self, w, c):
-        """Multiply provenance around vertex w by c: edges into w get p*c,
-        edges out of w get c^-1*p.  Loop readings at other vertices are
-        unchanged."""
-        cinv = ~c
-        parent = self._parent
-        for e in self._incident.get(w, ()):
-            rec = self.edges.get(e)
-            if rec is None:
-                continue
-            rec[0] = u = find(parent, rec[0])
-            rec[1] = v = find(parent, rec[1])
-            if u == w and v == w:
-                rec[3] = cinv * rec[3] * c
-            elif v == w:
-                rec[3] = rec[3] * c
-            elif u == w:
-                rec[3] = cinv * rec[3]
+    def add_loop_word(self, w, prov=None):
+        """Queue a loop at the basepoint spelling w, for fold to read in;
+        the word prov (if given) is read along its first letter."""
+        self.words.append((w.letters, None if prov is None else prov.letters))
 
     def fold(self):
-        """Fold to completion, near-linearly: a union-find over vertices
-        with a worklist of vertices to recheck.  With provenance, gauge
-        moves keep every basepoint loop reading correct.
+        """Read each queued word in from the basepoint, following the
+        transitions it finds and making a vertex for each letter it does
+        not.  An edge whose slot at either end is taken merges its end with
+        the slot's target (union-find): the larger id is dropped into the
+        smaller, and its transitions are entered again at the survivor.
+        With provenance the dropped vertex alone is gauged, so that the two
+        edges read alike and every basepoint loop keeps its reading; the
+        basepoint, id 0, always survives.  Each merge moves at most 2 *
+        rank entries, so the fold is near-linear in the letters read
+        (Touikan, A fast algorithm for Stallings' folding process, IJAC 16,
+        2006)."""
+        tables, prov = self.tables, self.prov
+        alias = {}  # dropped vertex -> (survivor, gauge)
 
-        The builder must hold a bouquet of freely reduced loops at the
-        basepoint, as every caller builds it.  An interior vertex of such a
-        loop has no foldable pair until a fold merges it, and every merge
-        puts its vertex back on the worklist, so the worklist starts from
-        the basepoint alone."""
-        parent = {v: v for v in self.vertices}
-        incident = {v: set() for v in self.vertices}
-        for e, rec in self.edges.items():
-            incident[rec[0]].add(e)
-            incident[rec[1]].add(e)
-        self._incident = incident
-        self._parent = parent
-        pending = [self.basepoint]
-        while pending:
-            v = pending.pop()
-            if find(parent, v) != v:
-                continue
-            # normalize endpoints of incident edges, then look for a pair
-            # of same-label edges sharing this endpoint on the same side
-            out = {}
-            inn = {}
-            pair = None
-            for e in list(incident[v]):
-                rec = self.edges.get(e)
-                if rec is None:
-                    incident[v].discard(e)
+        def root(v):
+            # v's class, and the gauge c that reads the word p of an edge
+            # entering v as p * c there (and of one leaving v as c^-1 * p)
+            c = ()
+            while v in alias:
+                v, g = alias[v]
+                if g:
+                    c = _join((c, g))
+            return v, c
+
+        def link(*edge):
+            stack = [edge]
+            while stack:
+                u, x, v, p = stack.pop()
+                u, cu = root(u)
+                v, cv = root(v)
+                if cu or cv:
+                    p = _join((_inverse_letters(cu), p, cv))
+                t = tables[u].get(x)
+                if t is None:
+                    t = tables[v].get(-x)
+                    if t is None:
+                        tables[u][x] = v
+                        tables[v][-x] = u
+                        if prov is not None:
+                            prov[u, x] = p
+                            prov[v, -x] = _inverse_letters(p)
+                        continue
+                    # t -x-> v is taken: read both edges backwards from v
+                    u, x, v = v, -x, u
+                    if prov is not None:
+                        p = _inverse_letters(p)
+                if t == v:
                     continue
-                rec[0] = find(parent, rec[0])
-                rec[1] = find(parent, rec[1])
-                if rec[0] != v and rec[1] != v:
-                    incident[v].discard(e)
-                    continue
-                label = rec[2]
-                if rec[0] == v:
-                    if (label in out) and out[label] != e:
-                        pair = (out[label], e, "out")
-                        break
-                    out[label] = e
-                if rec[1] == v:
-                    if (label in inn) and inn[label] != e:
-                        pair = (inn[label], e, "in")
-                        break
-                    inn[label] = e
-            if pair is None:
+                # u -x-> t and u -x-> v become one edge
+                keep, drop = (t, v) if t < v else (v, t)
+                g = None
+                if prov is not None:
+                    q = prov[u, x]
+                    g = _join((_inverse_letters(p), q) if drop == v
+                              else (_inverse_letters(q), p))
+                alias[drop] = (keep, g)
+                for y, w in tables.pop(drop).items():
+                    r = None if prov is None else prov.pop((drop, y))
+                    if w != drop:
+                        del tables[w][-y]
+                        if prov is not None:
+                            del prov[w, -y]
+                    elif y < 0:  # a loop is entered once
+                        continue
+                    stack.append((drop, y, w, r))
+
+        vertex = self.next_vertex
+        for letters, k in self.words:
+            if not letters:
                 continue
-            e, f, side = pair
-            eu, ev, _, ep = self.edges[e]
-            fu, fv, _, fp = self.edges[f]
-            if side == "out":
-                a, b = find(parent, ev), find(parent, fv)
-            else:
-                a, b = find(parent, eu), find(parent, fu)
-            base = find(parent, self.basepoint)
-            if ep is not None and a != b:
-                # make prov of f agree with prov of e before identifying
-                if b != base:
-                    if side == "out":
-                        # edges into b get p*c ; want fp*c == ep
-                        self._gauge(b, ~fp * ep)
-                    else:
-                        # edges out of b get c^-1*p ; want c^-1*fp == ep
-                        self._gauge(b, fp * ~ep)
-                else:
-                    if side == "out":
-                        self._gauge(a, ~ep * fp)
-                    else:
-                        self._gauge(a, ep * ~fp)
-            del self.edges[f]
-            incident[v].discard(f)
-            if a != b:
-                # keep the basepoint's root stable
-                keep, drop = (a, b) if b != base else (b, a)
-                parent[drop] = keep
-                incident[keep] |= incident.pop(drop, set())
-                self.vertices.discard(drop)
-                if self.basepoint == drop:
-                    self.basepoint = keep
-                pending.append(keep)
-            pending.append(v)
-        # final endpoint normalization
-        for rec in self.edges.values():
-            rec[0] = find(parent, rec[0])
-            rec[1] = find(parent, rec[1])
-        self.vertices = {v for v in self.vertices if find(parent, v) == v}
-        self.basepoint = find(parent, self.basepoint)
-        del self._incident
-        del self._parent
+            # with provenance, k is the word the next edge reads from cur
+            cur = 0
+            for x in letters[:-1]:
+                t = tables[cur].get(x)
+                if t is None:
+                    tables[cur][x] = t = vertex
+                    tables[t] = {-x: cur}
+                    if prov is not None:
+                        prov[cur, x] = k
+                        prov[t, -x] = _inverse_letters(k)
+                        k = ()
+                elif prov is not None:
+                    # this bouquet vertex is dropped into t, gauged so that
+                    # its edge reads like cur -x-> t
+                    k = _join((_inverse_letters(prov[cur, x]), k))
+                vertex += 1
+                cur = t
+            link(cur, letters[-1], 0, k)
+        self.next_vertex = vertex
+        self.words = []
 
     def trim(self, keep_basepoint=True):
-        """Remove valence<2 vertices (never the basepoint when kept), with a
-        worklist of vertices whose valence fell below 2."""
-        incident = {v: [] for v in self.vertices}
-        for e, (u, v, _, _) in self.edges.items():
-            incident[u].append(e)
-            incident[v].append(e)
-        valence = {v: len(es) for v, es in incident.items()}
+        """Drop the vertices of valence < 2 (never the basepoint when kept)
+        and their edges, with a worklist of vertices whose valence fell
+        below 2."""
+        tables = self.tables
         kept = self.basepoint if keep_basepoint else None
-        work = [v for v, k in valence.items() if k < 2 and v != kept]
+        work = [v for v, table in tables.items() if len(table) < 2 and v != kept]
         while work:
-            v = work.pop()
-            if v not in self.vertices:
-                continue
-            self.vertices.remove(v)
-            for e in incident[v]:
-                rec = self.edges.pop(e, None)
-                if rec is None:
-                    continue
-                other = rec[1] if rec[0] == v else rec[0]
-                valence[other] -= 1
-                if valence[other] < 2 and other != kept:
-                    work.append(other)
+            table = tables.pop(work.pop(), None)
+            for x, u in (table or {}).items():
+                other = tables[u]
+                del other[-x]
+                if len(other) < 2 and u != kept:
+                    work.append(u)
 
     def to_graph(self):
         return StallingsGraph(
             rank=self.rank,
-            edges=tuple(sorted((u, v, label) for u, v, label, _ in self.edges.values())),
+            edges=tuple(sorted((u, v, x) for u, table in self.tables.items()
+                               for x, v in table.items() if x > 0)),
             basepoint=self.basepoint,
         )
 
@@ -341,11 +304,9 @@ class StallingsGraph:
 
     def without_basepoint(self):
         b = GraphBuilder(self.rank)
-        b.vertices = set(self.vertex_set())
-        b.next_vertex = max(b.vertices, default=-1) + 1
+        b.tables, b.basepoint = {}, None
         for u, v, label in self.edges:
             b.add_edge(u, v, label)
-        b.basepoint = None
         b.trim(keep_basepoint=False)
         return b.to_graph()
 
@@ -362,9 +323,8 @@ def _folded(gens):
     if all(not w for w in gens):
         raise TrivialSubgroupError("trivial subgroup")
     b = GraphBuilder(rank)
-    b.basepoint = b.new_vertex()
     for w in gens:
-        b.add_loop_word(b.basepoint, w)
+        b.add_loop_word(w)
     b.fold()
     return b
 
@@ -417,32 +377,27 @@ class Expression:
         self.rank = gens[0].rank
         self.k = len(gens)
         b = GraphBuilder(self.rank, prov_rank=self.k)
-        base = b.new_vertex()
-        b.basepoint = base
         for i, w in enumerate(gens):
-            b.add_loop_word(base, w, prov=Word(self.k, (i + 1,)))
+            b.add_loop_word(w, prov=Word(self.k, (i + 1,)))
         b.fold()
         b.trim(keep_basepoint=True)
-        self.out = {}
-        self.inn = {}
-        for u, v, label, prov in b.edges.values():
-            self.out[(u, label)] = (v, prov.letters)
-            self.inn[(v, label)] = (u, _inverse_letters(prov.letters))
-        self.basepoint = b.basepoint
-        self.graph = b.to_graph()
+        # (vertex, signed letter) -> (target, the letters the step reads)
+        self.steps = {(u, x): (v, b.prov[u, x])
+                      for u, table in b.tables.items()
+                      for x, v in table.items()}
 
     def express(self, w):
         """A word over the generators mapping to w, or None if w is not in
         the subgroup."""
-        cur = self.basepoint
+        cur = 0  # the basepoint
         pieces = []
         for x in w.letters:
-            hit = self.out.get((cur, x)) if x > 0 else self.inn.get((cur, -x))
+            hit = self.steps.get((cur, x))
             if hit is None:
                 return None
             cur, piece = hit
             pieces.append(piece)
-        if cur != self.basepoint:
+        if cur != 0:
             return None
         return _word(self.k, _join(pieces))
 
@@ -471,11 +426,11 @@ def is_basis(words):
 def invert_automorphism(phi):
     """Exact inverse of an automorphism, via provenance folding.
 
-    Raises ValueError if the images are not a basis, and RuntimeError if
-    the computed inverse fails its composition check.
+    Raises ValueError if the images are not a basis (n words that
+    generate F_n are a basis, so it is enough that every generator is
+    expressed), and RuntimeError if the computed inverse fails its
+    composition check.
     """
-    if not is_basis(phi.images):
-        raise ValueError("images are not a basis; not an automorphism")
     expr = Expression(phi.images)
     imgs = []
     for j in range(phi.rank):
@@ -605,20 +560,9 @@ class FactorClass:
         return f"FactorClass(n={self.rank_ambient}, rank={self.rank}, gens={[str(w) for w in self.gens()]})"
 
 
-def class_frame(gens):
-    """The word d carrying the canonical representative of the class of
-    <gens> onto <gens> itself: <gens> = d * representative * d^-1."""
-    g = subgroup_graph(gens)
-    _, start = canonical_code(g.without_basepoint())
-    path, _ = _tree_data(g)
-    return path[start]
-
-
-def factor_class(gens):
-    """Canonical conjugacy-class form of the subgroup generated by `gens`:
-    the folded bouquet trimmed straight to its 2-core, which is unique, so
-    no vertex is renumbered."""
-    b = _folded(gens)
+def _core_class(b):
+    """The class of a folded builder's subgroup: its graph trimmed straight
+    to the 2-core, which is unique, so no vertex is renumbered."""
     b.trim(keep_basepoint=False)
     b.basepoint = None
     core = b.to_graph()
@@ -627,6 +571,23 @@ def factor_class(gens):
         core=core,
         rank=core.graph_rank(),
     )
+
+
+def class_frame(gens):
+    """The class F of <gens>, and the word d carrying F's canonical
+    representative onto <gens> itself: <gens> = d * representative * d^-1.
+    One fold gives both: the based graph and the core share their vertex
+    ids, so d is the based graph's tree path to F's canonical start."""
+    b = _folded(gens)
+    b.trim(keep_basepoint=True)
+    path, _ = _tree_data(b.to_graph())
+    F = _core_class(b)
+    return F, path[F._canonical()[1]]
+
+
+def factor_class(gens):
+    """Canonical conjugacy-class form of the subgroup generated by `gens`."""
+    return _core_class(_folded(gens))
 
 
 def factor_from_strs(rank, texts):

@@ -232,19 +232,54 @@ def pool_distance(pool, X, Y, max_depth):
     return None
 
 
-def fold_all_vertices(b):
-    """GraphBuilder.fold as it was when its worklist started from every
-    vertex of the builder, not from the basepoint alone."""
-    from subfactor.stallings import find
+def fold_all_vertices(words, prov_rank=None):
+    """The Stallings fold of the bouquet of loops at vertex 0 spelling the
+    given (letters, provenance) pairs, on a list of edge records.
 
-    parent = {v: v for v in b.vertices}
-    incident = {v: set() for v in b.vertices}
-    for e, rec in b.edges.items():
+    The bouquet numbers vertex 0, then one vertex per letter of each word
+    but its last, in order; with a provenance rank, a loop's first edge
+    reads its provenance and every other edge the identity.  The worklist
+    starts from every vertex, and a vertex is rescanned after each merge;
+    a merge keeps the smaller id and gauges the dropped vertex so that the
+    two folded edges read alike.  Returns the (u, v, label, prov) edges."""
+    from subfactor.stallings import find
+    from subfactor.words import Word
+
+    one = Word.identity(prov_rank) if prov_rank else None
+    edges = {}  # edge id -> [u, v, label, prov or None]
+    vertices = [0]
+    for letters, prov in words:
+        cur = 0
+        for i, x in enumerate(letters):
+            nxt = 0 if i == len(letters) - 1 else len(vertices)
+            if nxt:
+                vertices.append(nxt)
+            p = (prov if i == 0 else one) if prov_rank else None
+            if x > 0:
+                edges[len(edges)] = [cur, nxt, x, p]
+            else:
+                edges[len(edges)] = [nxt, cur, -x, None if p is None else ~p]
+            cur = nxt
+    parent = {v: v for v in vertices}
+    incident = {v: set() for v in vertices}
+    for e, rec in edges.items():
         incident[rec[0]].add(e)
         incident[rec[1]].add(e)
-    b._incident = incident
-    b._parent = parent
-    pending = list(b.vertices)
+
+    def gauge(w, c):
+        # edges into w read p * c, edges out of w c^-1 * p
+        for e in incident[w]:
+            rec = edges.get(e)
+            if rec is None:
+                continue
+            rec[0] = u = find(parent, rec[0])
+            rec[1] = v = find(parent, rec[1])
+            if u == w:
+                rec[3] = ~c * rec[3]
+            if v == w:
+                rec[3] = rec[3] * c
+
+    pending = list(vertices)
     while pending:
         v = pending.pop()
         if find(parent, v) != v:
@@ -253,7 +288,7 @@ def fold_all_vertices(b):
         inn = {}
         pair = None
         for e in list(incident[v]):
-            rec = b.edges.get(e)
+            rec = edges.get(e)
             if rec is None:
                 incident[v].discard(e)
                 continue
@@ -264,50 +299,38 @@ def fold_all_vertices(b):
                 continue
             label = rec[2]
             if rec[0] == v:
-                if (label in out) and out[label] != e:
+                if label in out and out[label] != e:
                     pair = (out[label], e, "out")
                     break
                 out[label] = e
             if rec[1] == v:
-                if (label in inn) and inn[label] != e:
+                if label in inn and inn[label] != e:
                     pair = (inn[label], e, "in")
                     break
                 inn[label] = e
         if pair is None:
             continue
         e, f, side = pair
-        eu, ev, _, ep = b.edges[e]
-        fu, fv, _, fp = b.edges[f]
+        eu, ev, _, ep = edges[e]
+        fu, fv, _, fp = edges[f]
         if side == "out":
             x, y = find(parent, ev), find(parent, fv)
         else:
             x, y = find(parent, eu), find(parent, fu)
-        base = (find(parent, b.basepoint)
-                if b.basepoint is not None else None)
+        keep, drop = min(x, y), max(x, y)
         if ep is not None and x != y:
-            if y != base:
-                b._gauge(y, ~fp * ep if side == "out" else fp * ~ep)
-            else:
-                b._gauge(x, ~ep * fp if side == "out" else ep * ~fp)
-        del b.edges[f]
+            # the dropped end's edge is made to read the kept end's word
+            dp, kp = (fp, ep) if drop == y else (ep, fp)
+            gauge(drop, ~dp * kp if side == "out" else dp * ~kp)
+        del edges[f]
         incident[v].discard(f)
         if x != y:
-            keep, drop = (x, y) if y != base else (y, x)
             parent[drop] = keep
-            incident[keep] |= incident.pop(drop, set())
-            b.vertices.discard(drop)
-            if b.basepoint == drop:
-                b.basepoint = keep
+            incident[keep] |= incident.pop(drop)
             pending.append(keep)
         pending.append(v)
-    for rec in b.edges.values():
-        rec[0] = find(parent, rec[0])
-        rec[1] = find(parent, rec[1])
-    b.vertices = {v for v in b.vertices if find(parent, v) == v}
-    if b.basepoint is not None:
-        b.basepoint = find(parent, b.basepoint)
-    del b._incident
-    del b._parent
+    return [(find(parent, u), find(parent, v), label, p)
+            for u, v, label, p in edges.values()]
 
 
 def tree_data_rereduced(graph):

@@ -11,6 +11,7 @@ from subfactor.projection import Classification, classify_pair
 from subfactor.stallings import (
     _reduction_cache,
     clear_reduction_cache,
+    factor_class,
     factor_from_strs,
     is_free_factor,
 )
@@ -233,7 +234,7 @@ def test_split_in_another_frame(capsys, monkeypatch):
     assert res.witness.verify(A, B)
     clear_reduction_cache()
     monkeypatch.setattr(projection, "class_frame",
-                        lambda gens: Word.identity(3))
+                        lambda gens: (factor_class(gens), Word.identity(3)))
     with pytest.raises(RuntimeError, match="splitting witness fails"):
         main(argv)
 

@@ -74,15 +74,15 @@ def ref_substitute(images, x):
 
 
 def ref_express(expr, x):
-    cur = expr.basepoint
+    cur = 0  # the basepoint
     out = []
     for y in x.letters:
-        hit = expr.out.get((cur, y)) if y > 0 else expr.inn.get((cur, -y))
+        hit = expr.steps.get((cur, y))
         if hit is None:
             return None
         cur, piece = hit
         out.extend(piece)
-    return free_reduce(out) if cur == expr.basepoint else None
+    return free_reduce(out) if cur == 0 else None
 
 
 def ref_trim(vertices, edges, basepoint, keep_basepoint):
@@ -246,21 +246,115 @@ def test_substitute_and_express_match_reference(rank):
 
 @pytest.mark.parametrize("keep_basepoint", [True, False])
 def test_trim_matches_fixed_point_rescan(keep_basepoint):
+    # a transition table holds folded graphs only, so each drawn edge whose
+    # slot at either end is taken is left out
     rng = random.Random(7 + keep_basepoint)
     for _ in range(200):
         n = rng.randint(1, 9)
-        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
+        drawn = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 3))
                  for _ in range(rng.randint(0, 12))]
         basepoint = rng.choice([None, 0, rng.randrange(n)])
         b = GraphBuilder(3)
-        b.vertices = set(range(n))  # vertices without edges stay isolated
-        for u, v, label in edges:
-            b.add_edge(u, v, label)
+        b.tables = {v: {} for v in range(n)}  # isolated vertices stay
+        edges = []
+        for u, v, label in drawn:
+            if label not in b.tables[u] and -label not in b.tables[v]:
+                b.add_edge(u, v, label)
+                edges.append((u, v, label))
         b.basepoint = basepoint
         b.trim(keep_basepoint=keep_basepoint)
         vs, es = ref_trim(range(n), edges, basepoint, keep_basepoint)
-        assert b.vertices == vs
-        assert sorted(tuple(rec[:3]) for rec in b.edges.values()) == sorted(es)
+        assert set(b.tables) == vs
+        assert list(b.to_graph().edges) == sorted(es)
+
+
+def oracle_fold(b):
+    """GraphBuilder.fold by the all-vertex edge-list fold of the oracle."""
+    words = [(letters, None if p is None else Word(b.prov_rank, p))
+             for letters, p in b.words]
+    for u, v, label, p in fold_all_vertices(words, b.prov_rank):
+        b.add_edge(u, v, label)
+        if p is not None:
+            b.prov[u, label] = p.letters
+            b.prov[v, -label] = (~p).letters
+    b.words = []
+
+
+def bouquet(rng, rank):
+    """One to five seeded generators: some trivial, some conjugates c u c^-1
+    that are not cyclically reduced, the rest random reduced words."""
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.15:
+            gens.append(Word.identity(rank))
+        elif kind < 0.5:
+            c = random_word(rng, rank, 4)
+            gens.append(c * random_word(rng, rank, 8) * ~c)
+        else:
+            gens.append(random_word(rng, rank, 10))
+    return gens
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_folded_vertex_is_the_least_bouquet_id_reaching_it(rank):
+    # the bouquet numbers the basepoint 0, then each letter of each word but
+    # its last; a folded vertex is the least id whose prefix reaches it
+    rng = random.Random(400 + rank)
+    tried = 0
+    while tried < 40:
+        gens = bouquet(rng, rank)
+        if not any(gens):
+            continue
+        tried += 1
+        b = GraphBuilder(rank)
+        for x in gens:
+            b.add_loop_word(x)
+        b.fold()
+        tables = b.tables
+        for u, table in tables.items():
+            for x, v in table.items():
+                assert tables[v][-x] == u
+        prefixes = [()]
+        for x in gens:
+            prefixes += [x.letters[:i] for i in range(1, len(x))]
+        reached = {}
+        for vid, prefix in enumerate(prefixes):
+            cur = 0
+            for x in prefix:
+                cur = tables[cur][x]
+            reached.setdefault(cur, []).append(vid)
+        assert set(reached) == set(tables)
+        for v, ids in reached.items():
+            assert v == min(ids)
+        for x in gens:
+            cur = 0
+            for y in x.letters:
+                cur = tables[cur][y]
+            assert cur == 0
+
+
+def test_long_bouquet_folds_without_recursion():
+    # the last letter of a^n b a^-(n-1) sets off one cascade of n - 1
+    # merges down the tail; what is left is a^(n-1) (ab) a^-(n-1)
+    n = 100_000
+    x = Word(2, (1,) * n + (2,) + (-1,) * (n - 1))
+    assert len(x) == 200_000
+    assert len(subgroup_graph([x]).edges) == n + 1
+    # the core's two vertices take the ids of prefixes a^(n-1) and a^n;
+    # its size is checked first, so that a failure prints no long diff
+    core = factor_class([x]).core.edges
+    assert len(core) == 2
+    assert core == ((n - 1, n, 1), (n, n - 1, 2))
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_inverse_matches_the_oracle_fold(rank, monkeypatch):
+    rng = random.Random(900 + rank)
+    autos = [random_automorphism(rank, rng, length=6) for _ in range(6)]
+    new = [invert_automorphism(phi).images for phi in autos]
+    monkeypatch.setattr(GraphBuilder, "fold", oracle_fold)
+    assert [invert_automorphism(phi).images for phi in autos] == new
 
 
 def test_canonical_code_matches_reference():
@@ -312,6 +406,13 @@ def test_invert_automorphism():
         inv = invert_automorphism(f)
         assert (f * inv).is_identity()
         assert inv.images == known_inv.images
+
+
+@pytest.mark.parametrize("images", [["aa", "b"], ["a", "a"], ["", "b"],
+                                    ["ab", "ba"], ["abAB", "b"]])
+def test_invert_automorphism_refuses_non_bases(images):
+    with pytest.raises(ValueError, match="not a basis"):
+        invert_automorphism(Automorphism.from_strs(2, images))
 
 
 def test_invert_automorphism_checks_its_result(monkeypatch):
@@ -659,8 +760,9 @@ def kernel_outputs(make_class, subgroups, autos, covers):
     out = []
     for gens in subgroups:
         F = make_class(gens)
+        C, d = class_frame(gens)
         out.append((F.core, F.code, [x.letters for x in F.gens()],
-                    class_frame(gens).letters))
+                    C.core, d.letters))
     for phi in autos:
         out.append([x.letters for x in invert_automorphism(phi).images])
     for gens, phi in covers:
@@ -670,10 +772,10 @@ def kernel_outputs(make_class, subgroups, autos, covers):
 
 
 def test_folding_kernel_matches_the_all_vertex_fold(monkeypatch):
-    # folding from the basepoint alone, trimming straight to the core and
-    # extending tree paths give the very cores (vertex ids included),
-    # codes, generators, frames, inverses and cover domains that the
-    # all-vertex fold, without_basepoint and re-reduced paths gave
+    # the eager table fold, trimming straight to the core and extending
+    # tree paths give the very cores (vertex ids included), codes,
+    # generators, frames, inverses and cover domains that the all-vertex
+    # edge-list fold, without_basepoint and re-reduced paths give
     from subfactor.cli import FILLING_PSI
     from subfactor.irreducible import _candidate_factors, build_pingpong
 
@@ -697,7 +799,7 @@ def test_folding_kernel_matches_the_all_vertex_fold(monkeypatch):
     fN = spec.power("f", spec.N)
     subgroups += [[fN(x) for x in C.gens()] for C in candidates]
     new = kernel_outputs(factor_class, subgroups, autos, covers)
-    monkeypatch.setattr(GraphBuilder, "fold", fold_all_vertices)
+    monkeypatch.setattr(GraphBuilder, "fold", oracle_fold)
     monkeypatch.setattr(stallings, "_tree_data", tree_data_rereduced)
     old = kernel_outputs(factor_class_via_based, subgroups, autos, covers)
     assert len(new) == len(old) == len(subgroups) + len(autos) + len(covers)
