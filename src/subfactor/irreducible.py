@@ -42,6 +42,8 @@ from .words import (
     _join,
     _released,
     _word,
+    abelian_image,
+    abelianize,
     cyclic_words,
     free_reduce,
 )
@@ -336,7 +338,15 @@ def _apply_capped(step, F, cap):
     """Apply a step (chain, bounds) of _syllable_steps to a factor class,
     giving up once the images pass 40 * cap letters or the image core has
     more than cap edges.  Both checks are exact, yet the images stop early
-    on certificates from Cooper's bounded cancellation lemma (D. Cooper,
+    on certificates.  The first is read before any letter is expanded:
+    each letter moves one exponent sum by one and conjugation moves none,
+    so ||ab(w)||_1 <= ||w|| <= |w|, and ab(phi(w)) = M ab(w) for M the
+    product of the chain's matrices (words.abelian_image).  So a rank-1
+    class is refused when ||M ab(w)||_1 > cap for its cycle w, and any
+    other when the sum over gens() passes 40 * cap, as the images' letters
+    then do too.
+
+    The others come from Cooper's bounded cancellation lemma (D. Cooper,
     J. Algebra 111, 1987): with B = Lip(phi) * floor(Lip(phi^-1) / 2) for
     an automorphism phi, |phi(ps)| >= |phi(p)| - B for every reduced word
     ps.  In the Cayley tree, phi^-1 takes the geodesic [1, phi(ps)] to a
@@ -360,24 +370,38 @@ def _apply_capped(step, F, cap):
       at most cap goes on to the checks above and the fold.  The cycle is
       read from any vertex (_cycle_letters), as every rotation is a
       conjugate, so the test computes no canonical code."""
-    bounds = step[1]
+    chain, bounds = step
     if F.rank == 1:
-        image = _image(step, _cycle_letters(F.core.edges),
-                       cap + 3 * bounds[-1], cyclic=True)
+        letters = _cycle_letters(F.core.edges)
+        if _abelian_length(chain, _word(F.rank_ambient, letters)) > cap:
+            return None
+        image = _image(step, letters, cap + 3 * bounds[-1], cyclic=True)
         if image is None or len(_cyclic_core(image)) > cap:
             return None
     left = 40 * cap
-    gens = []
-    for w in F.gens():
+    gens = F.gens()
+    if sum(_abelian_length(chain, w) for w in gens) > left:
+        return None
+    images = []
+    for w in gens:
         image = _image(step, w.letters, left + bounds[-1])
         if image is None or len(image) > left:
             return None
         left -= len(image)
-        gens.append(_word(F.rank_ambient, image))
-    out = factor_class(gens)
+        images.append(_word(F.rank_ambient, image))
+    out = factor_class(images)
     if out.complexity() > cap:
         return None
     return out
+
+
+def _abelian_length(chain, w):
+    """||M ab(w)||_1 for M the product of the chain's matrices: a lower
+    bound on the cyclic length of the chain's image of w."""
+    vec = abelianize(w)
+    for phi in chain:
+        vec = abelian_image(phi, vec)
+    return sum(map(abs, vec))
 
 
 def _image(step, letters, stop, cyclic=False):
@@ -424,15 +448,17 @@ def pingpong_word(spec, syllables, powers=6, core_bound=8, candidate_cap=80):
     Alternation of syllables is required, otherwise the word is conjugate
     to a power of one letter.  Syllables act left to right on classes.
 
-    The cap is exact though images stop early, on Cooper's bounded
-    cancellation lemma (J. Algebra 111, 1987) with B(phi) =
-    Lip(phi) * floor(Lip(phi^-1) / 2) for each automorphism of a step (see
-    _apply_capped): the last one stops once a prefix image passes the
-    letters left plus its B, the one before it gives up each letter once
-    its own B certifies it, and a rank-1 class <w> stops once a prefix
-    image of a cyclically reduced conjugate passes cap plus 3B of the last,
-    since ||phi(u)|| >= |phi(p)| - 3B for u cyclically reduced and p a
-    prefix of u."""
+    The cap is exact though images stop early (see _apply_capped).  First
+    a class is refused, before any image is expanded, when the exponent-sum
+    vectors of its images, ||ab(phi(w))||_1 <= ||phi(w)||, already pass the
+    cap.  Then the stops rest on Cooper's bounded cancellation lemma
+    (J. Algebra 111, 1987) with B(phi) = Lip(phi) * floor(Lip(phi^-1) / 2)
+    for each automorphism of a step: the last one stops once a prefix
+    image passes the letters left plus its B, the one before it gives up
+    each letter once its own B certifies it, and a rank-1 class <w> stops
+    once a prefix image of a cyclically reduced conjugate passes cap plus
+    3B of the last, since ||phi(u)|| >= |phi(p)| - 3B for u cyclically
+    reduced and p a prefix of u."""
     syl = syllable_reduce(
         [(sym, e * spec.N) for sym, e in syllables]
     )

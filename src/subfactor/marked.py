@@ -28,10 +28,11 @@ class MarkingError(ValueError):
 
 
 class MarkedGraph:
-    def __init__(self, rank, edges, marking):
+    def __init__(self, rank, edges, marking, inverse=None):
         self.rank = rank
         self.edges = tuple(sorted(edges))  # (eid, u, v)
         self.marking = marking  # eid -> Word
+        self.inverse = inverse  # mu^-1 when known (see PathTranslator)
         for eid, _, _ in self.edges:
             if eid not in self.marking:
                 raise MarkingError(f"edge {eid} has no marking word")
@@ -138,14 +139,17 @@ def adapted_rose(A):
     n = A.rank_ambient
     edges = tuple((i, 0, 0) for i in range(1, n + 1))
     marking = {i: res.witness_inverse.images[i - 1] for i in range(1, n + 1)}
-    return MarkedGraph(n, edges, marking)
+    return MarkedGraph(n, edges, marking, inverse=res.witness)
 
 
-def transformed(G, phi):
+def transformed(G, phi, phi_inv=None):
     """Push the marking of G forward by an automorphism (the Out(F_n) action
-    on marked graphs)."""
+    on marked graphs).  Given phi's inverse, a graph that carries its
+    inverse marking mu^-1 gives the image mu^-1 phi^-1."""
+    inverse = (G.inverse * phi_inv
+               if G.inverse is not None and phi_inv is not None else None)
     return MarkedGraph(G.rank, G.edges,
-                       {e: phi(w) for e, w in G.marking.items()})
+                       {e: phi(w) for e, w in G.marking.items()}, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,10 @@ def tighten(path):
 
 class PathTranslator:
     """Converts ambient words to reduced edge-path loops at the base vertex
-    of a marked graph."""
+    of a marked graph.  The loops of the non-tree edges, in order, read the
+    automorphism mu; a word goes to a path through mu^-1, the graph's own
+    inverse once mu * mu^-1 is checked to be the identity (RuntimeError
+    otherwise), or else inverted by folding."""
 
     def __init__(self, G):
         tree, path_words, path_edges = G.tree_data()
@@ -186,7 +193,11 @@ class PathTranslator:
         if len(words) != G.rank:
             raise MarkingError("marked graph must have graph rank n")
         mu = Automorphism(G.rank, tuple(words))
-        mu_inv = invert_automorphism(mu)
+        mu_inv = G.inverse
+        if mu_inv is None:
+            mu_inv = invert_automorphism(mu)
+        elif not (mu * mu_inv).is_identity():  # a bug, not bad input
+            raise RuntimeError("the carried inverse marking is wrong")
         self.gen_paths = []
         for j in range(G.rank):
             q = mu_inv.images[j]

@@ -34,7 +34,7 @@ from .stallings import (
     mod2_span,
     random_automorphism,
 )
-from .words import Automorphism, Word, abelianize, free_reduce
+from .words import Automorphism, Word, abelianize
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,8 @@ def project_graph(A, G):
 
 def stabilizer_automorphisms(B, count, seed=0):
     """Automorphisms preserving the sub-rose factor <x_1..x_k> (k = rank B),
-    used to resample marked graphs in which B stays embedded."""
+    used to resample marked graphs in which B stays embedded, each with its
+    inverse, composed from the inverse transvections x_j -> x_j x_i^-1."""
     n = B.rank_ambient
     k = B.rank
     rng = random.Random(seed)
@@ -403,19 +404,18 @@ def stabilizer_automorphisms(B, count, seed=0):
                 continue
             if i <= k and j > k:
                 continue  # would push B outside itself
-            images = []
-            for t in range(1, n + 1):
-                if t == j:
-                    images.append(Word(n, free_reduce((t, i))))
-                else:
-                    images.append(Word(n, (t,)))
-            gens.append(Automorphism(n, tuple(images)))
+            # x_j -> x_j x_i and its inverse x_j -> x_j x_i^-1
+            gens.append(tuple(
+                Automorphism(n, tuple(Word(n, (t, e * i) if t == j else (t,))
+                                      for t in range(1, n + 1)))
+                for e in (1, -1)))
     out = []
     for _ in range(count):
-        f = Automorphism.identity(n)
+        f = f_inv = Automorphism.identity(n)
         for _ in range(rng.randint(1, 4)):
-            f = rng.choice(gens) * f
-        out.append(f)
+            t, t_inv = rng.choice(gens)
+            f, f_inv = t * f, f_inv * t_inv
+        out.append((f, f_inv))
     return out
 
 
@@ -436,9 +436,10 @@ def sample_graphs_with_embedded(B, samples=8, seed=0):
         marking[i] = G0.marking[i]
     edges.append((n + 1, 0, 1))
     marking[n + 1] = Word.identity(n)
-    graphs = [G0, MarkedGraph(n, tuple(edges), marking)]
-    for f in stabilizer_automorphisms(B, max(samples - 2, 0), seed=seed):
-        graphs.append(transformed(G0, f))
+    graphs = [G0, MarkedGraph(n, tuple(edges), marking, G0.inverse)]
+    for f, f_inv in stabilizer_automorphisms(B, max(samples - 2, 0),
+                                             seed=seed):
+        graphs.append(transformed(G0, f, f_inv))
     return graphs[:samples] if samples >= 2 else graphs[:1]
 
 

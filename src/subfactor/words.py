@@ -296,6 +296,22 @@ def abelianize(w):
     return tuple(vec)
 
 
+def abelian_image(phi, vec):
+    """abelianize(phi(w)) from vec = abelianize(w): the product M vec for
+    the integer matrix M whose columns are the images' exponent-sum
+    vectors, kept on phi on first use."""
+    columns = phi.__dict__.get("_columns")
+    if columns is None:
+        columns = tuple(map(abelianize, phi.images))
+        object.__setattr__(phi, "_columns", columns)
+    out = [0] * phi.rank
+    for column, e in zip(columns, vec):
+        if e:
+            for i, c in enumerate(column):
+                out[i] += e * c
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Automorphism:
     """An automorphism of F_n given by generator images.

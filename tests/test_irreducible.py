@@ -36,7 +36,13 @@ from subfactor.stallings import (
     invert_automorphism,
     random_automorphism,
 )
-from subfactor.words import Automorphism, Word, cyclic_reduce, word_from_str
+from subfactor.words import (
+    Automorphism,
+    Word,
+    abelianize,
+    cyclic_reduce,
+    word_from_str,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import fill_scan  # noqa: E402
@@ -415,34 +421,42 @@ def full_capped(auto, F, cap):
     return out, None
 
 
-def test_apply_capped_matches_full_images():
+def test_apply_capped_matches_full_images(monkeypatch):
     # the shipped spec (N = 8): on each word, each of the 72 candidate
     # orbits gets the same class or cap at every step as the full image
     # under the composed power g ** N (or the exact inverse's power), which
     # the steps never build; the words stop at the length and core-size
-    # checks 70/2, 71/1 and 44/28 times
+    # checks 70/2, 71/1 and 44/28 times, and the abelianized bound refuses
+    # 64, 59 and 20 of those steps before any image is expanded
+    expanded = []
+    real = irreducible._image
+    monkeypatch.setattr(irreducible, "_image", lambda *args, **kwargs: (
+        expanded.append(True) or real(*args, **kwargs)))
     A = factor_from_strs(3, ["a", "b"])
     psi = Automorphism.from_strs(3, list(FILLING_PSI))
     spec = build_pingpong(A, psi, m_emp=1, d_emp=1)
     inverse = {sym: invert_automorphism(getattr(spec, sym)) for sym in "fg"}
     candidates = irreducible._candidate_factors(3, 8, 80)
     assert len(candidates) == 72
-    for word, length_stops in (([("f", 1), ("g", 1)], 70),
-                               ([("f", 1), ("g", -1)], 71),
-                               ([("g", -1), ("f", -1)], 44)):
+    for word, length_stops, by_bound in (([("f", 1), ("g", 1)], 70, 64),
+                                         ([("f", 1), ("g", -1)], 71, 59),
+                                         ([("g", -1), ("f", -1)], 44, 20)):
         syl = syllable_reduce([(sym, e * spec.N) for sym, e in word])
         steps = irreducible._syllable_steps(spec, syl)
         full = [(getattr(spec, sym) if e > 0 else inverse[sym]) ** abs(e)
                 for sym, e in syl]
         stops = []
+        unexpanded = 0
         for C in candidates:
             cur = C
             for _ in range(6):
                 for step, auto in zip(steps, full):
+                    expanded.clear()
                     got = irreducible._apply_capped(step, cur, 400)
                     want, why = full_capped(auto, cur, 400)
                     assert got == want
                     if got is None:
+                        unexpanded += not expanded
                         break
                     cur = got
                 if got is None:
@@ -451,6 +465,7 @@ def test_apply_capped_matches_full_images():
                 assert cur != C
         assert stops.count("length") == length_stops
         assert stops.count("core") == 72 - length_stops
+        assert unexpanded == by_bound
 
 
 def test_apply_capped_is_exact_when_a_prefix_image_overshoots():
@@ -472,7 +487,9 @@ def test_apply_capped_decides_rank_one_classes_by_cyclic_length():
     # L - 1, L and L + 1, each step of the shipped spec gives the core the
     # full image gives (compared edge for edge, which is stricter than
     # class equality and needs no canonical code), and only caps below L
-    # stop every orbit
+    # stop every orbit.  Under the Fibonacci f^N a positive word such as
+    # a stays positive, so its abelianized length is L itself, and keeping
+    # it at cap L pins the bound's strict comparison
     spec = shipped_spec()
     N = spec.N
     syl = [("f", N), ("g", N), ("g", -N)]
@@ -481,10 +498,12 @@ def test_apply_capped_decides_rank_one_classes_by_cyclic_length():
     classes = [C for C in irreducible._candidate_factors(3, 8, 80)
                if C.rank == 1]
     assert len(classes) == 40
-    kept = 0
+    kept = tight = 0
     for step, auto in zip(steps, full):
         for C in classes[::8]:
-            L = len(cyclic_reduce(auto(C.gens()[0]))[0])
+            w = C.gens()[0]
+            L = len(cyclic_reduce(auto(w))[0])
+            assert abelian_length(step[0], w) <= L
             for cap in (L - 1, L, L + 1):
                 want, _ = full_capped(auto, C, cap)
                 got = irreducible._apply_capped(step, C, cap)
@@ -492,27 +511,90 @@ def test_apply_capped_decides_rank_one_classes_by_cyclic_length():
                 assert want is None or got.core == want.core
                 assert want is not None or cap < L or L > 40 * cap
                 kept += want is not None
+                tight += (cap == L and got is not None
+                          and abelian_length(step[0], w) == L)
     assert kept > 0
+    assert classes[0] == factor_from_strs(3, ["a"]) and tight > 0
+
+
+def abelian_length(chain, w):
+    """||M ab(w)||_1 for M the product of the chain's matrices, read off
+    the full image."""
+    for phi in chain:
+        w = phi(w)
+    return sum(map(abs, abelianize(w)))
 
 
 def test_capped_rank_one_step_folds_nothing(monkeypatch):
-    # a rank-1 class whose image passes the cap is refused on its cyclic
-    # length alone: no fold, and no canonical code for its generator
+    # <a> passes the cap on its abelianized length alone: no image is
+    # expanded, no fold, and no canonical code for its generator; nor is
+    # one for a rank-2 class whose abelianized lengths pass 40 * cap.  <c>
+    # is within the bound, and is refused on its cyclic length, still
+    # with no fold and no canonical code
     spec = shipped_spec()
     step = irreducible._syllable_steps(spec, [("g", spec.N)])[0]
-    C = factor_from_strs(3, ["c"])
+    a, c = (factor_from_strs(3, [x]) for x in "ac")
+    D = factor_class([(spec.f ** spec.N)(Word(3, (2,))), Word(3, (3,))])
+    assert D.rank == 2
     calls = []
+
+    def expanded(*args, **kwargs):
+        raise AssertionError("an image was expanded")
+
+    real_image = irreducible._image
+    monkeypatch.setattr(irreducible, "_image", expanded)
     monkeypatch.setattr(irreducible, "factor_class",
                         lambda gens: calls.append("factor_class"))
     real = stallings.canonical_code
     monkeypatch.setattr(stallings, "canonical_code", lambda core: (
         calls.append("canonical_code") or real(core)))
-    assert irreducible._apply_capped(step, C, 400) is None
+    assert irreducible._apply_capped(step, a, 400) is None
+    assert calls == []
+    assert irreducible._apply_capped(step, D, 400) is None
+    assert "factor_class" not in calls
+    calls.clear()
+    monkeypatch.setattr(irreducible, "_image", real_image)
+    assert irreducible._apply_capped(step, c, 400) is None
     assert calls == []
     monkeypatch.undo()
     g = spec.g ** spec.N
+    assert abelian_length(step[0], Word(3, (1,))) > 400
+    assert abelian_length(step[0], Word(3, (3,))) <= 400
     assert len(cyclic_reduce(g(Word(3, (3,))))[0]) > 400
-    assert full_capped(g, C, 400) == (None, "core")
+    assert full_capped(g, a, 400) == (None, "core")
+    assert full_capped(g, c, 400) == (None, "core")
+    assert sum(abelian_length(step[0], w) for w in D.gens()) > 40 * 400
+    assert full_capped(g, D, 400) == (None, "length")
+
+
+def test_rank_two_bound_keeps_images_of_exactly_forty_caps():
+    # a -> ab^78 takes <a, b> to itself with images of 79 + 1 letters,
+    # all counted by the abelianized length: at cap 2 the images' 80
+    # letters are not more than 40 * cap, so the class is kept, which pins
+    # the bound's strict comparison and its scale
+    phi = Automorphism.from_strs(3, ["a" + "b" * 78, "b", "c"])
+    inv = Automorphism.from_strs(3, ["a" + "B" * 78, "b", "c"])
+    F = factor_from_strs(3, ["a", "b"])
+    chain = (phi,)
+    assert sum(abelian_length(chain, w) for w in F.gens()) == 80
+    assert full_capped(phi, F, 2) == (F, None)
+    step = (chain, (phi.cancellation_bound(inv),))
+    assert irreducible._apply_capped(step, F, 2) == F
+    assert irreducible._apply_capped(step, F, 1) is None
+
+
+def test_abelianized_length_follows_the_chain_in_order():
+    # psi^-1, f^N, psi: the chain's matrices do not commute, and the
+    # bound is the abelianized length of the image the chain gives
+    spec = shipped_spec()
+    steps = irreducible._syllable_steps(spec, [("g", spec.N),
+                                               ("g", -spec.N)])
+    for chain, _ in steps:
+        assert len(chain) == 3
+        for text in ("a", "b", "c", "ab", "bC", "caB"):
+            w = word_from_str(3, text)
+            assert (irreducible._abelian_length(chain, w)
+                    == abelian_length(chain, w))
 
 
 def test_pingpong_refuses_the_whole_group():

@@ -4,7 +4,9 @@ from collections import deque
 from math import gcd
 from pathlib import Path
 
-from subfactor import cli, projection
+import pytest
+
+from subfactor import cli, marked, projection
 from subfactor.marked import rose, transformed
 from subfactor.projection import (
     _dist_to_infinity,
@@ -304,6 +306,31 @@ def test_project_factor_empty_cases():
     # disjoint pair: B misses A in every splitting where B is visible
     assert project_factor(factor_from_strs(3, ["a", "b"]),
                           factor_from_strs(3, ["c"])) == set()
+
+
+def test_sampled_graphs_carry_their_inverse_marking(monkeypatch):
+    # the adapted rose, its blow-up and every stabilizer sample carry the
+    # inverse of their loop words' automorphism, so their translators fold
+    # nothing, and give the paths the folded inverse gives
+    for B, seed in ((factor_from_strs(3, ["ab", "c"]), 3),
+                    (factor_from_strs(3, ["bcB"]), 5),
+                    (factor_from_strs(4, ["ad", "bC", "c"]), 7)):
+        graphs = projection.sample_graphs_with_embedded(B, samples=8,
+                                                        seed=seed)
+        assert len(graphs) == 8
+        want = [marked.PathTranslator(marked.MarkedGraph(
+            G.rank, G.edges, G.marking)).gen_paths for G in graphs]
+        with monkeypatch.context() as m:
+            m.setattr(marked, "invert_automorphism", None)
+            assert [G.translator.gen_paths for G in graphs] == want
+    # an inverse that does not invert the marking is refused, and a graph
+    # pushed forward without phi^-1 folds as before
+    G = marked.adapted_rose(factor_from_strs(3, ["ab", "c"]))
+    phi = random_automorphism(3, random.Random(1), length=4)
+    wrong = marked.MarkedGraph(3, G.edges, G.marking, G.inverse * phi)
+    with pytest.raises(RuntimeError):
+        wrong.translator
+    assert transformed(G, phi).inverse is None
 
 
 def test_project_graph_rose():

@@ -15,6 +15,7 @@ from subfactor.words import (
     _cyclic_released,
     _join,
     _released,
+    abelian_image,
     abelianize,
     cyclic_reduce,
     cyclic_words,
@@ -269,6 +270,33 @@ def test_streamed_stage_gives_the_full_image(rank):
             assert (tuple(_cyclic_released(phi, u, bound))
                     == _cyclic_core(phi(Word(rank, u)).letters))
     assert stopped > 0
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_abelianized_length_bounds_the_cyclic_length(rank):
+    # ab(phi(w)) = M ab(w) with M's columns the images' exponent sums, and
+    # each letter moves one exponent sum by one while conjugation moves
+    # none, so ||M ab(w)||_1 <= ||phi(w)|| <= |phi(w)| along any chain
+    rng = random.Random(50 + rank)
+    autos = [random_automorphism(rank, rng, length=rng.randint(1, 6))
+             for _ in range(6)]
+    for phi in autos:
+        for i, image in enumerate(phi.images):
+            unit = tuple(int(j == i) for j in range(rank))
+            assert abelian_image(phi, unit) == abelianize(image)
+    tight = 0
+    for _ in range(60):
+        chain = rng.sample(autos, rng.randint(1, 3))
+        w = _random_reduced(rank, rng, rng.randint(1, 12))
+        vec = abelianize(w)
+        for phi in chain:
+            vec = abelian_image(phi, vec)
+            w = phi(w)
+        assert vec == abelianize(w)
+        bound = sum(map(abs, vec))
+        assert bound <= len(cyclic_reduce(w)[0]) <= len(w)
+        tight += bound == len(cyclic_reduce(w)[0])
+    assert tight > 0
 
 
 def test_streamed_stage_with_too_small_a_bound_raises():
