@@ -182,7 +182,8 @@ def cmd_project(args):
     members = sorted(project_factor(A, B, samples=args.samples,
                                     seed=args.seed),
                      key=lambda F: F.code)
-    report = {"members": [factor_json(F) for F in members]}
+    report = {"members": [factor_json(F) for F in members],
+              "config": {"seed": args.seed, "samples": args.samples}}
     if members:
         lo, hi = factor_distance(A, members, [])
         report["diameter"] = {"lower": lo, "upper": hi}

@@ -207,7 +207,8 @@ def cn_distance_bounds(u, v, s=6, pool=None):
     The upper bound comes from a breadth-first search over a bounded pool
     of vertices (by default the first 30 of length <= s), every edge
     decided exactly; the path of classes achieving it is returned.  The
-    lower bound is 0 or 1.
+    lower bound is exact: 0 for equal vertices, 1 for adjacent ones and 2
+    otherwise.
     """
     if u == v:
         return 0, 0, [u]
@@ -218,7 +219,7 @@ def cn_distance_bounds(u, v, s=6, pool=None):
     verts = {F.code: F for F in [*pool, u, v]}
     path = bfs_path(u, v, sorted(verts.values(), key=lambda F: F.code),
                     is_cn_edge)
-    return 1, (None if path is None else len(path) - 1), path
+    return 2, (None if path is None else len(path) - 1), path
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .stallings import (
     invert_automorphism,
     is_free_factor,
     subgroup_graph,
+    tree_letters,
 )
 from .words import (
     Automorphism,
@@ -141,29 +142,29 @@ def _corank1_witness(A, B, phi_b):
     need = 1 - sum(1 for x in middle if abs(x) == n)
     if need < 0:
         return None
-    # vertex -> (root, letters of a path root -> vertex) in Gamma less its
-    # x_n edges, one spanning tree per component
-    home = {}
-    for paths, _ in components(graph.vertex_set(),
-                               [e for e in graph.edges if e[2] != n]):
-        root = min(paths)
-        for v, path in paths.items():
-            home[v] = (root, tuple(sign * x for x, sign in path))
+    # one spanning tree per component of Gamma less its x_n edges, and each
+    # vertex's root
+    up, root = {}, {}
+    for tree in components(graph.vertex_set(),
+                           [e for e in graph.edges if e[2] != n]):
+        up.update(tree)
+        root.update(dict.fromkeys(tree, min(tree)))
     joins = {}
     for u, v, x in graph.edges:
         if x == n:
-            joins.setdefault((home[u][0], home[v][0]), (u, x, v))
-            joins.setdefault((home[v][0], home[u][0]), (v, -x, u))
-    pairs = (_pair_orbit(step, bwd[j], fwd[i]) if not middle
-             else [((bwd[j], fwd[i]), ())])
-    for (r, s), w in pairs:
-        if need == 0 and home[r][0] == home[s][0]:
-            walk = _across(home, r, s)
-        elif need == 1 and (home[r][0], home[s][0]) in joins:
-            x, e, y = joins[home[r][0], home[s][0]]
-            walk = _across(home, r, x) + (e,) + _across(home, y, s)
+            joins.setdefault((root[u], root[v]), (u, x, v))
+            joins.setdefault((root[v], root[u]), (v, -x, u))
+    start = (bwd[j], fwd[i])
+    orbit = {start: None}  # pair -> (previous pair, letter, 1)
+    for r, s in (_pair_orbit(step, orbit) if not middle else [start]):
+        if need == 0 and root[r] == root[s]:
+            walk = _across(up, r, s)
+        elif need == 1 and (root[r], root[s]) in joins:
+            x, e, y = joins[root[r], root[s]]
+            walk = _across(up, r, x) + (e,) + _across(up, y, s)
         else:
             continue
+        w = tree_letters(orbit, (r, s))
         # h = v^-1 (w walk w^-1) u^-1 in H, so t h = u (m k) u^-1
         h = _word(n, free_reduce(_inverse_letters(t[len(t) - j:]) + w + walk
                                  + _inverse_letters(w)
@@ -188,26 +189,27 @@ def _trail(step, v, letters):
     return out
 
 
-def _across(home, r, s):
+def _across(up, r, s):
     """Letters of a path r -> s inside one component of the graph less its
     x_n edges (see _corank1_witness)."""
-    return _inverse_letters(home[r][1]) + home[s][1]
+    return _inverse_letters(tree_letters(up, r)) + tree_letters(up, s)
 
 
-def _pair_orbit(step, q, p):
-    """The pairs (q.w, p.w) over words w readable from both q and p, each
-    with its w, breadth first."""
-    seen = {(q, p)}
-    frontier = [((q, p), ())]
+def _pair_orbit(step, orbit):
+    """The pairs (q.w, p.w) over words w readable from both q and p,
+    breadth first, from orbit = {(q, p): None}.  Each pair reached is
+    linked in orbit to the pair before it and the letter between, in the
+    form of spanning_tree, so tree_letters reads its w back."""
+    frontier = list(orbit)
     while frontier:
         nxt = []
-        for (r, s), w in frontier:
-            yield (r, s), w
+        for r, s in frontier:
+            yield r, s
             for x, r2 in sorted(step[r].items()):
                 s2 = step[s].get(x)
-                if s2 is not None and (r2, s2) not in seen:
-                    seen.add((r2, s2))
-                    nxt.append(((r2, s2), w + (x,)))
+                if s2 is not None and (r2, s2) not in orbit:
+                    orbit[r2, s2] = ((r, s), x, 1)
+                    nxt.append((r2, s2))
         frontier = nxt
 
 

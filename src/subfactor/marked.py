@@ -18,7 +18,10 @@ from .stallings import (
     invert_automorphism,
     is_basis,
     is_free_factor,
+    reversed_path,
     spanning_tree,
+    tree_loops,
+    tree_path,
 )
 from .words import Automorphism, Word, _inverse_letters, _join, _word, word_to_str
 
@@ -42,9 +45,6 @@ class MarkedGraph:
     def vertex_set(self):
         return {u for _, u, _ in self.edges} | {v for _, _, v in self.edges}
 
-    def base_vertex(self):
-        return min(self.vertex_set())
-
     def eids(self):
         return tuple(e for e, _, _ in self.edges)
 
@@ -58,11 +58,6 @@ class MarkedGraph:
     def graph_rank(self):
         return len(self.edges) - len(self.vertex_set()) + 1
 
-    def is_connected(self):
-        vs = self.vertex_set()
-        return bool(vs) and len(
-            spanning_tree(min(vs), self.arcs())[0]) == len(vs)
-
     # -- spanning tree and loop basis ----------------------------------
 
     def path_word(self, path):
@@ -72,38 +67,31 @@ class MarkedGraph:
             m[e].letters if s > 0 else _inverse_letters(m[e].letters)
             for e, s in path))
 
-    def tree_data(self):
-        """spanning_tree from the base vertex.
-
-        Returns (tree_eids, path_words, path_edges) where path_edges[x] is
-        the (eid, sign) path from the base to x.
-        """
-        path_edges, tree = spanning_tree(self.base_vertex(), self.arcs())
-        if len(path_edges) != len(self.vertex_set()):
+    def tree(self):
+        """spanning_tree from the least vertex; MarkingError unless it
+        spans the graph (an empty graph has no tree)."""
+        vs = self.vertex_set()
+        up = spanning_tree(min(vs, default=None), self.arcs())
+        if len(up) != len(vs):
             raise MarkingError("graph is not connected")
-        path_words = {x: self.path_word(p) for x, p in path_edges.items()}
-        return {e for _, _, e in tree}, path_words, path_edges
+        return up
+
+    def loops(self):
+        """The (eid, sign) loops at the least vertex through the non-tree
+        edges, in eid order."""
+        return list(tree_loops(self.tree(), self.arcs()))
 
     def loop_basis(self):
         """One word per non-tree edge; together they generate the marking
         image of the fundamental group."""
-        tree, path_words, _ = self.tree_data()
-        ebi = self.edge_by_id()
-        words = []
-        for eid in self.eids():
-            if eid in tree:
-                continue
-            u, v = ebi[eid]
-            words.append(path_words[u] * self.marking[eid] * ~path_words[v])
-        return words
+        return [self.path_word(loop) for loop in self.loops()]
 
     def validate(self):
         """Check connectivity, rank, and that the marking is an isomorphism."""
-        if not self.is_connected():
-            raise MarkingError("not connected")
+        words = self.loop_basis()
         if self.graph_rank() != self.rank:
             raise MarkingError("graph rank differs from marking rank")
-        if not is_basis(self.loop_basis()):
+        if not is_basis(words):
             raise MarkingError("marking is not an isomorphism to the free group")
         return True
 
@@ -113,13 +101,12 @@ class MarkedGraph:
         return PathTranslator(self)
 
     def to_json(self):
-        tree, _, _ = self.tree_data()
         return {
             "rank": self.rank,
             "vertices": sorted(self.vertex_set()),
             "edges": [{"id": e, "from": u, "to": v} for e, u, v in self.edges],
             "marking": {str(e): word_to_str(self.marking[e]) for e in self.eids()},
-            "tree": sorted(tree),
+            "tree": sorted(link[1] for link in self.tree().values() if link),
         }
 
 
@@ -156,11 +143,6 @@ def transformed(G, phi, phi_inv=None):
 # translating words to edge paths
 
 
-def _reversed_path(path):
-    """The inverse of an edge path: its steps backwards, signs flipped."""
-    return [(key, -sign) for key, sign in reversed(path)]
-
-
 def tighten(path):
     """Cancel backtracking (e,s)(e,-s) pairs in an edge path."""
     out = []
@@ -180,19 +162,11 @@ class PathTranslator:
     otherwise), or else inverted by folding."""
 
     def __init__(self, G):
-        tree, path_words, path_edges = G.tree_data()
-        ebi = G.edge_by_id()
-        nontree = [e for e in G.eids() if e not in tree]
-        loops = []
-        words = []
-        for eid in nontree:
-            u, v = ebi[eid]
-            loops.append(tighten(path_edges[u] + [(eid, 1)]
-                                 + _reversed_path(path_edges[v])))
-            words.append(path_words[u] * G.marking[eid] * ~path_words[v])
-        if len(words) != G.rank:
+        loops = G.loops()
+        if len(loops) != G.rank:
             raise MarkingError("marked graph must have graph rank n")
-        mu = Automorphism(G.rank, tuple(words))
+        mu = Automorphism(G.rank, tuple(G.path_word(l) for l in loops))
+        loops = [tighten(l) for l in loops]
         mu_inv = G.inverse
         if mu_inv is None:
             mu_inv = invert_automorphism(mu)
@@ -204,7 +178,7 @@ class PathTranslator:
             path = []
             for x in q.letters:
                 l = loops[abs(x) - 1]
-                path.extend(l if x > 0 else _reversed_path(l))
+                path.extend(l if x > 0 else reversed_path(l))
             self.gen_paths.append(tighten(path))
 
     def word_to_path(self, w):
@@ -212,7 +186,7 @@ class PathTranslator:
         path = []
         for x in w.letters:
             g = self.gen_paths[abs(x) - 1]
-            path.extend(g if x > 0 else _reversed_path(g))
+            path.extend(g if x > 0 else reversed_path(g))
         return tighten(path)
 
 
@@ -288,11 +262,6 @@ def cover_core(A, G):
     return Immersion(factor=A, target=G, domain=b.to_graph(), eids=eids)
 
 
-def _domain_paths(domain):
-    """BFS (label, sign) paths from the basepoint to every domain vertex."""
-    return spanning_tree(domain.basepoint, domain.edges)[0]
-
-
 def one_edge_collapse_factors(imm):
     """Free factors of A arising as vertex groups of one-edge collapses of
     the A-cover: for each core edge, the fundamental groups of the
@@ -302,19 +271,15 @@ def one_edge_collapse_factors(imm):
         raise ValueError("collapse factors need rank(A) >= 2")
     core = imm.core()
     expr = Expression(A.gens())
-    base_paths = _domain_paths(imm.domain)
+    base = spanning_tree(imm.domain.basepoint, imm.domain.edges)
     out = set()
     for cut in core.edges:
         rest = [e for e in core.edges if e != cut]
-        for tree_path, tree in components(core.vertex_set(), rest):
-            conj = base_paths[min(tree_path)]
+        for up in components(core.vertex_set(), rest):
+            conj = tree_path(base, min(up))
             gens = []
-            for u, v, label in rest:
-                if u not in tree_path or (u, v, label) in tree:
-                    continue
-                loop = (conj + tree_path[u] + [(label, 1)]
-                        + _reversed_path(conj + tree_path[v]))
-                word = imm.ambient_word(loop)
+            for loop in tree_loops(up, rest):
+                word = imm.ambient_word(conj + loop + reversed_path(conj))
                 local = expr.express(word)
                 if local is None:
                     raise RuntimeError("collapse generator fell outside A")

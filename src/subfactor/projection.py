@@ -200,12 +200,10 @@ class DisjointWitness:
 
 
 def _subgraph_class(G, eids):
-    """Conjugacy class of the fundamental group of a connected subgraph."""
+    """Conjugacy class of the fundamental group of a connected subgraph
+    (MarkingError when it is not connected)."""
     sub = [e for e in G.edges if e[0] in eids]
-    verts = {u for _, u, _ in sub} | {v for _, _, v in sub}
     H = MarkedGraph(G.rank, tuple(sub), {e: G.marking[e] for e, _, _ in sub})
-    if not H.is_connected():
-        raise MarkingError("witness subgraph is not connected")
     gens = [w for w in H.loop_basis() if w]
     if not gens:
         raise MarkingError("witness subgraph has trivial class")

@@ -59,24 +59,58 @@ def spanning_tree(root, edges):
     """Deterministic BFS spanning tree of root's component: the frontier
     is taken in sorted order and each vertex's steps in sorted order.
 
-    Returns (paths, tree) where paths[x] is the (key, sign) path from root
-    to x inside the tree and tree is the set of tree edge triples.
+    Returns the parent links {vertex: (parent, key, sign)}, the root mapped
+    to None: the tree edge read with that sign steps from parent to vertex.
     """
     steps = incidence(edges)
-    paths = {root: []}
-    tree = set()
+    up = {root: None}
     frontier = [root]
     while frontier:
         nxt = []
         for x in sorted(frontier):
             for key, sign, other in sorted(steps.get(x, ())):
-                if other in paths:
-                    continue
-                paths[other] = paths[x] + [(key, sign)]
-                tree.add((x, other, key) if sign > 0 else (other, x, key))
-                nxt.append(other)
+                if other not in up:
+                    up[other] = (x, key, sign)
+                    nxt.append(other)
         frontier = nxt
-    return paths, tree
+    return up
+
+
+def tree_path(up, v):
+    """The (key, sign) path from the root to v in a spanning_tree."""
+    path = []
+    while up[v] is not None:
+        v, key, sign = up[v]
+        path.append((key, sign))
+    path.reverse()
+    return path
+
+
+def tree_letters(up, v):
+    """The keys times signs along the tree path to v: the word it spells
+    when the keys are letters."""
+    return tuple(sign * key for key, sign in tree_path(up, v))
+
+
+def reversed_path(path):
+    """The inverse of a (key, sign) path: its steps backwards, signs
+    flipped."""
+    return [(key, -sign) for key, sign in reversed(path)]
+
+
+def in_tree(up, u, v, key):
+    """Whether the edge (u, v, key) of up's component is a tree edge."""
+    return up[v] == (u, key, 1) or up[u] == (v, key, -1)
+
+
+def tree_loops(up, edges):
+    """For each edge (u, v, key) of up's component outside the tree, in
+    order, the (key, sign) loop at the root through it: the tree path to
+    u, the edge, and the tree path from v back."""
+    for u, v, key in edges:
+        if u in up and not in_tree(up, u, v, key):
+            yield (tree_path(up, u) + [(key, 1)]
+                   + reversed_path(tree_path(up, v)))
 
 
 def components(vertices, edges):
@@ -85,9 +119,9 @@ def components(vertices, edges):
     seen = set()
     for v in sorted(vertices):
         if v not in seen:
-            paths, tree = spanning_tree(v, edges)
-            seen.update(paths)
-            yield paths, tree
+            up = spanning_tree(v, edges)
+            seen.update(up)
+            yield up
 
 
 def bfs_path(start, goal, items, adjacent, max_depth=None):
@@ -336,34 +370,20 @@ def subgroup_graph(gens):
     return b.to_graph()
 
 
-def _tree_data(graph):
-    """spanning_tree from the basepoint, with each path read as the word
-    it spells.  Returns (path, tree_edges).
-
-    Each vertex's letters extend its tree parent's, in BFS order.  A tree
-    path never backtracks, so in a folded graph it spells a reduced word."""
-    paths, tree = spanning_tree(graph.basepoint, graph.edges)
-    out = graph.out_map()
-    inn = graph.in_map()
-    letters = {graph.basepoint: ()}
-    for x, p in paths.items():
-        if p:
-            label, sign = p[-1]
-            parent = inn[(x, label)] if sign > 0 else out[(x, label)]
-            letters[x] = letters[parent] + (sign * label,)
-    path = {x: _word(graph.rank, w) for x, w in letters.items()}
-    return path, tree
+def _tree_word(rank, up, v):
+    """The word spelled by the tree path to v.  A tree path never
+    backtracks, so in a folded graph it spells a reduced word."""
+    return _word(rank, tree_letters(up, v))
 
 
 def basis(graph):
-    """Free basis of the subgroup of a folded based graph, via spanning tree."""
-    path, tree = _tree_data(graph)
-    words = []
-    for u, v, label in graph.edges:
-        if (u, v, label) in tree:
-            continue
-        words.append(path[u] * Word(graph.rank, (label,)) * ~path[v])
-    return words
+    """Free basis of the subgroup of a folded based graph, via spanning tree:
+    one word per non-tree edge."""
+    up = spanning_tree(graph.basepoint, graph.edges)
+    rank = graph.rank
+    return [_tree_word(rank, up, u) * Word(rank, (label,))
+            * ~_tree_word(rank, up, v)
+            for u, v, label in graph.edges if not in_tree(up, u, v, label)]
 
 
 class Expression:
@@ -580,9 +600,9 @@ def class_frame(gens):
     ids, so d is the based graph's tree path to F's canonical start."""
     b = _folded(gens)
     b.trim(keep_basepoint=True)
-    path, _ = _tree_data(b.to_graph())
+    up = spanning_tree(b.basepoint, b.to_graph().edges)
     F = _core_class(b)
-    return F, path[F._canonical()[1]]
+    return F, _tree_word(F.rank_ambient, up, F._canonical()[1])
 
 
 def factor_class(gens):

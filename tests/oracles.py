@@ -333,16 +333,13 @@ def fold_all_vertices(words, prov_rank=None):
             for u, v, label, p in edges.values()]
 
 
-def tree_data_rereduced(graph):
-    """stallings._tree_data as it was when every vertex's path was freely
-    reduced again from the basepoint."""
-    from subfactor.stallings import spanning_tree
+def tree_word_rereduced(rank, up, v):
+    """stallings._tree_word with the tree path to v freely reduced again,
+    as every vertex's path once was."""
+    from subfactor.stallings import tree_path
     from subfactor.words import _word, free_reduce
 
-    paths, tree = spanning_tree(graph.basepoint, graph.edges)
-    path = {x: _word(graph.rank, free_reduce(s * label for label, s in p))
-            for x, p in paths.items()}
-    return path, tree
+    return _word(rank, free_reduce(s * label for label, s in tree_path(up, v)))
 
 
 def factor_class_via_based(gens):

@@ -95,7 +95,7 @@ def test_cn_distance_bounds():
     p = cvertex(w("a"))
     q = cvertex(w("bab"))
     lo, hi, path = cn_distance_bounds(p, q, s=4)
-    assert lo >= 1 and hi == 2
+    assert lo == 2 and hi == 2
     assert path[0] == p and path[-1] == q and len(path) == 3
 
 

@@ -12,7 +12,6 @@ import pytest
 from subfactor.marked import (
     MarkedGraph,
     MarkingError,
-    _domain_paths,
     cover_core,
     one_edge_collapse_factors,
     rose,
@@ -30,6 +29,7 @@ from subfactor.stallings import (
     random_automorphism,
     spanning_tree,
     subgroup_graph,
+    tree_path,
 )
 from subfactor.words import Word, reduce
 
@@ -56,6 +56,17 @@ def reference_bfs(root, edges):
                 nxt.append(other)
         frontier = nxt
     return paths, tree
+
+
+def read_tree(up):
+    """(paths, tree edges) of spanning_tree's parent links, each path read
+    through tree_path."""
+    tree = set()
+    for x, link in up.items():
+        if link:
+            p, key, sign = link
+            tree.add((p, x, key) if sign > 0 else (x, p, key))
+    return {x: tree_path(up, x) for x in up}, tree
 
 
 def backwards(path):
@@ -108,7 +119,7 @@ def test_basis_matches_reference_tree(rank):
             continue
         g = subgroup_graph(gens)
         paths, tree = reference_bfs(g.basepoint, g.edges)
-        assert spanning_tree(g.basepoint, g.edges) == (paths, tree)
+        assert read_tree(spanning_tree(g.basepoint, g.edges)) == (paths, tree)
 
         def spell(path):
             return reduce(rank, [sign * label for label, sign in path])
@@ -124,23 +135,29 @@ def test_marked_tree_data_matches_reference_tree(rank):
     for _ in range(25):
         G = random_marked_graph(rng, rank)
         paths, tree = reference_bfs(
-            G.base_vertex(), [(u, v, e) for e, u, v in G.edges])
-        tree_eids, path_words, path_edges = G.tree_data()
-        assert tree_eids == {e for _, _, e in tree}
-        assert path_edges == paths
-        assert path_words == {
-            x: product([G.marking[e] if s > 0 else ~G.marking[e]
-                        for e, s in p], rank)
-            for x, p in paths.items()}
-        assert G.is_connected()
+            min(G.vertex_set()), [(u, v, e) for e, u, v in G.edges])
+        up = G.tree()
+        assert read_tree(up) == (paths, tree)
+        assert len(up) == len(G.vertex_set())
+
+        def spell(path):
+            return product([G.marking[e] if s > 0 else ~G.marking[e]
+                            for e, s in path], rank)
+
+        assert {x: G.path_word(tree_path(up, x)) for x in up} == {
+            x: spell(p) for x, p in paths.items()}
+        loops = [paths[u] + [(e, 1)] + backwards(paths[v])
+                 for e, u, v in G.edges if (u, v, e) not in tree]
+        assert G.loops() == loops
+        assert G.loop_basis() == [spell(loop) for loop in loops]
 
 
 def test_disconnected_marked_graph():
     G = MarkedGraph(2, ((1, 0, 0), (2, 1, 1)),
                     {1: Word(2, (1,)), 2: Word(2, (2,))})
-    assert not G.is_connected()
-    with pytest.raises(MarkingError):
-        G.tree_data()
+    for walk in (G.tree, G.loop_basis, G.validate):
+        with pytest.raises(MarkingError, match="not connected"):
+            walk()
 
 
 def reference_collapse(imm):
@@ -188,7 +205,8 @@ def test_cover_walks_match_reference_tree(rank):
         for G in graphs:
             imm = cover_core(A, G)
             paths, _ = reference_bfs(imm.domain.basepoint, imm.domain.edges)
-            assert _domain_paths(imm.domain) == paths
+            assert read_tree(spanning_tree(
+                imm.domain.basepoint, imm.domain.edges))[0] == paths
             got = one_edge_collapse_factors(imm)
             assert got == reference_collapse(imm)
             seen_collapses += len(got)
@@ -254,12 +272,13 @@ def test_components_cover_each_component_once():
                  for k in range(rng.randint(0, 8))]
         parts = list(components(vs, edges))
         assert len(parts) == component_count(vs, edges)
-        roots = [min(paths) for paths, _ in parts]
+        roots = [min(up) for up in parts]
         assert roots == sorted(roots)
-        assert sorted(v for paths, _ in parts for v in paths) == order
-        for paths, tree in parts:
-            assert paths[min(paths)] == []
-            assert (paths, tree) == spanning_tree(min(paths), edges)
+        assert sorted(v for up in parts for v in up) == order
+        for up in parts:
+            assert up[min(up)] is None
+            assert up == spanning_tree(min(up), edges)
+            assert read_tree(up) == reference_bfs(min(up), edges)
 
 
 def relaxed_distances(items, adjacent, start):

@@ -97,11 +97,12 @@ def test_cover_core_reads_back_into_subgroup():
     g = subgroup_graph(A.gens())
     core = imm.core()
     # basis loops of the domain, read into the ambient group
-    from subfactor.marked import _domain_paths
+    from subfactor.stallings import spanning_tree, tree_path
 
-    paths = _domain_paths(imm.domain)
+    up = spanning_tree(imm.domain.basepoint, imm.domain.edges)
     for u, v, label in core.edges:
-        loop = paths[u] + [(label, 1)] + [(l, -s) for l, s in reversed(paths[v])]
+        loop = (tree_path(up, u) + [(label, 1)]
+                + [(l, -s) for l, s in reversed(tree_path(up, v))])
         word = imm.ambient_word(loop)
         if word:
             assert contains_element(g, word)
@@ -127,4 +128,5 @@ def test_json_roundtrip():
         assert back.edges == G.edges
         assert back.marking == G.marking
         assert d["vertices"] == sorted(G.vertex_set())
-        assert d["tree"] == sorted(G.tree_data()[0])
+        assert d["tree"] == sorted(
+            link[1] for link in G.tree().values() if link)

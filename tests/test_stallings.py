@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from oracles import (  # noqa: E402
     descend_by_table,
     factor_class_via_based,
     fold_all_vertices,
-    tree_data_rereduced,
+    tree_word_rereduced,
     whitehead_reference,
 )
 
@@ -346,6 +347,28 @@ def test_long_bouquet_folds_without_recursion():
     core = factor_class([x]).core.edges
     assert len(core) == 2
     assert core == ((n - 1, n, 1), (n, n - 1, 2))
+
+
+def test_long_primitive_class_stays_in_linear_memory():
+    # the Fibonacci primitive (a -> b, b -> ab, applied to a) of 4,181
+    # letters folds to a cycle as long; a path kept for every vertex of it
+    # would take about 70 MiB
+    x = (1,)
+    while len(x) < 4181:
+        x = tuple(y for z in x for y in ((2,) if z == 1 else (1, 2)))
+    x = Word(2, x)
+    assert len(x) == 4181
+    clear_reduction_cache()
+    for walk in (lambda: factor_class([x]).gens(),
+                 lambda: class_frame([x]),
+                 lambda: is_free_factor(factor_class([x]))):
+        tracemalloc.start()
+        try:
+            assert walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("rank", range(2, 9))
@@ -772,8 +795,8 @@ def kernel_outputs(make_class, subgroups, autos, covers):
 
 
 def test_folding_kernel_matches_the_all_vertex_fold(monkeypatch):
-    # the eager table fold, trimming straight to the core and extending
-    # tree paths give the very cores (vertex ids included), codes,
+    # the eager table fold, trimming straight to the core and reading
+    # tree paths up parent links give the very cores (vertex ids included), codes,
     # generators, frames, inverses and cover domains that the all-vertex
     # edge-list fold, without_basepoint and re-reduced paths give
     from subfactor.cli import FILLING_PSI
@@ -800,7 +823,7 @@ def test_folding_kernel_matches_the_all_vertex_fold(monkeypatch):
     subgroups += [[fN(x) for x in C.gens()] for C in candidates]
     new = kernel_outputs(factor_class, subgroups, autos, covers)
     monkeypatch.setattr(GraphBuilder, "fold", oracle_fold)
-    monkeypatch.setattr(stallings, "_tree_data", tree_data_rereduced)
+    monkeypatch.setattr(stallings, "_tree_word", tree_word_rereduced)
     old = kernel_outputs(factor_class_via_based, subgroups, autos, covers)
     assert len(new) == len(old) == len(subgroups) + len(autos) + len(covers)
     for got, want in zip(new, old):
